@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 
 #include "obs/obs.hpp"
 #include "util/error.hpp"
@@ -25,7 +26,6 @@ struct Job {
   std::size_t task = 0;
   double remaining_s = 0;
   bool needs_restore = false;  ///< resumed from a saved context
-  u32 priority = 0;
 };
 
 struct PrrState {
@@ -43,15 +43,8 @@ PreemptiveResult simulate_preemptive(const std::vector<PrmInfo>& prms,
   if (config.prr_count == 0) {
     throw ContractError{"simulate_preemptive: zero PRRs"};
   }
-  for (const HwTask& task : tasks) {
-    if (task.prm >= prms.size()) {
-      throw ContractError{"simulate_preemptive: unknown PRM"};
-    }
-  }
-  auto controller =
-      config.controller
-          ? config.controller
-          : std::make_shared<DmaIcapController>(default_icap(Family::kVirtex5));
+  check_prm_indices("simulate_preemptive", prms, tasks);
+  IcapChannel icap{config.controller};
 
   sort_by_arrival(tasks);
 
@@ -59,91 +52,61 @@ PreemptiveResult simulate_preemptive(const std::vector<PrmInfo>& prms,
   result.tasks.resize(tasks.size());
   std::vector<PrrState> prrs(config.prr_count);
   std::vector<Job> ready;
+  OutcomeLedger ledger;
   std::size_t next_arrival = 0;
-  std::size_t completed = 0;
   double now = 0;
-  double icap_free_at = 0;
 
-  const auto pop_best_ready = [&]() -> Job {
-    auto best = ready.begin();
-    for (auto it = ready.begin(); it != ready.end(); ++it) {
-      if (it->priority > best->priority) best = it;
-    }
-    const Job job = *best;
-    ready.erase(best);
-    return job;
-  };
-
-  const auto icap_time = [&](double duration) {
-    const double start = std::max(now, icap_free_at);
-    icap_free_at = start + duration;
-    return icap_free_at;
+  const auto task_of = [&tasks](const Job& job) -> const HwTask& {
+    return tasks[job.task];
   };
 
   const auto dispatch = [&](std::size_t prr_index, Job job) {
     PrrState& prr = prrs[prr_index];
+    const HwTask& task = tasks[job.task];
+    TaskOutcome& outcome = result.tasks[job.task];
     double start = now;
-    if (prr.loaded != tasks[job.task].prm) {
+    if (prr.loaded != task.prm) {
+      const u64 bytes = prms[task.prm].bitstream_bytes;
+      double reconfig_s = 0;
       if (config.faults != nullptr) {
         // Fault mode: verified transfer with retry; a permanent failure
         // drops the job here - the PRR stays idle and undefined.
-        const TransferOutcome xfer = verified_transfer(
-            *controller, prms[tasks[job.task].prm].bitstream_bytes,
-            config.media, config.faults, config.retry);
-        const double end = icap_time(xfer.total_s);
-        TaskOutcome& outcome = result.tasks[job.task];
+        const TransferOutcome xfer = icap.transfer(
+            now, bytes, config.media, config.faults, config.retry);
         outcome.task_index = narrow<u32>(job.task);
         outcome.prr = narrow<u32>(prr_index);
         outcome.reconfig_attempts += xfer.attempts;
-        result.retry_attempts += xfer.attempts - 1;
-        result.total_retry_backoff_s += xfer.backoff_s;
-        result.total_fault_wasted_s += xfer.wasted_s;
         if (!xfer.success) {
-          ++result.failed_reconfigs;
           prr.loaded.reset();
-          outcome.dropped = true;
-          outcome.finish_s = end;
-          outcome.wait_s = end - tasks[job.task].arrival_s;
-          result.makespan_s = std::max(result.makespan_s, end);
-          ++result.dropped_tasks;
-          result.total_penalty_s += config.drop_penalty_s;
-          ++completed;
+          ledger.drop(outcome, icap.free_at(), task.arrival_s,
+                      config.drop_penalty_s);
           return;
         }
-        start = end;
-        prr.loaded = tasks[job.task].prm;
-        result.total_reconfig_s += xfer.total_s;
-        ++result.reconfig_count;
+        reconfig_s = xfer.total_s;
       } else {
-        const double reconfig_s =
-            controller
-                ->estimate(prms[tasks[job.task].prm].bitstream_bytes,
-                           config.media)
-                .total_s;
-        start = icap_time(reconfig_s);
-        prr.loaded = tasks[job.task].prm;
-        result.total_reconfig_s += reconfig_s;
-        ++result.reconfig_count;
+        reconfig_s = icap.estimate_s(bytes, config.media);
+        icap.occupy(now, reconfig_s);
       }
+      start = icap.free_at();
+      prr.loaded = task.prm;
+      result.total_reconfig_s += reconfig_s;
+      ++result.reconfig_count;
     }
     if (job.needs_restore) {
-      start = std::max(start, icap_time(config.context_restore_s));
+      start = std::max(start, icap.occupy(now, config.context_restore_s));
       result.total_save_restore_s += config.context_restore_s;
       job.needs_restore = false;
     }
     prr.exec_end = start + job.remaining_s;
     prr.running = job;
-    result.tasks[job.task].prr = narrow<u32>(prr_index);
-    if (result.tasks[job.task].start_s == 0) {
-      result.tasks[job.task].start_s = start;
-    }
+    outcome.prr = narrow<u32>(prr_index);
+    if (outcome.start_s == 0) outcome.start_s = start;
   };
 
-  while (completed < tasks.size()) {
+  while (ledger.ended < tasks.size()) {
     while (next_arrival < tasks.size() &&
            tasks[next_arrival].arrival_s <= now) {
-      ready.push_back(Job{next_arrival, tasks[next_arrival].exec_s, false,
-                          tasks[next_arrival].priority});
+      ready.push_back(Job{next_arrival, tasks[next_arrival].exec_s, false});
       ++next_arrival;
     }
 
@@ -151,24 +114,23 @@ PreemptiveResult simulate_preemptive(const std::vector<PrmInfo>& prms,
     for (PrrState& prr : prrs) {
       if (prr.running && prr.exec_end <= now) {
         const Job& job = *prr.running;
+        const HwTask& task = tasks[job.task];
         TaskOutcome& outcome = result.tasks[job.task];
         outcome.task_index = narrow<u32>(job.task);
         outcome.finish_s = prr.exec_end;
-        outcome.wait_s =
-            outcome.finish_s - tasks[job.task].arrival_s - tasks[job.task].exec_s;
-        result.makespan_s = std::max(result.makespan_s, outcome.finish_s);
+        outcome.wait_s = outcome.finish_s - task.arrival_s - task.exec_s;
+        ledger.finish(outcome.finish_s);
         prr.running.reset();
-        ++completed;
       }
     }
 
-    // Dispatch onto idle PRRs.
-    bool dispatched = true;
-    while (dispatched && !ready.empty()) {
+    // Dispatch onto idle PRRs, most urgent ready job first; a dropped job
+    // leaves its PRR idle, so sweep until nothing dispatches.
+    for (bool dispatched = true; dispatched && !ready.empty();) {
       dispatched = false;
       for (std::size_t p = 0; p < prrs.size() && !ready.empty(); ++p) {
         if (!prrs[p].running) {
-          dispatch(p, pop_best_ready());
+          dispatch(p, pop_ready(ready, SchedPolicy::kPriority, task_of));
           dispatched = true;
         }
       }
@@ -176,47 +138,38 @@ PreemptiveResult simulate_preemptive(const std::vector<PrmInfo>& prms,
 
     // Preemption: the most urgent ready job may evict the lowest-priority
     // running job.
-    if (config.mode != PreemptMode::kNoPreemption && !ready.empty()) {
-      bool preempted = true;
-      while (preempted && !ready.empty()) {
-        preempted = false;
-        auto best_it = ready.begin();
-        for (auto it = ready.begin(); it != ready.end(); ++it) {
-          if (it->priority > best_it->priority) best_it = it;
+    while (config.mode != PreemptMode::kNoPreemption && !ready.empty()) {
+      u32 victim_priority =
+          task_of(ready[pick_ready(ready, SchedPolicy::kPriority, task_of)])
+              .priority;
+      std::size_t victim_prr = prrs.size();
+      for (std::size_t p = 0; p < prrs.size(); ++p) {
+        if (prrs[p].running &&
+            task_of(*prrs[p].running).priority < victim_priority) {
+          victim_prr = p;
+          victim_priority = task_of(*prrs[p].running).priority;
         }
-        std::size_t victim_prr = prrs.size();
-        for (std::size_t p = 0; p < prrs.size(); ++p) {
-          if (!prrs[p].running) continue;
-          if (prrs[p].running->priority < best_it->priority &&
-              (victim_prr == prrs.size() ||
-               prrs[p].running->priority <
-                   prrs[victim_prr].running->priority)) {
-            victim_prr = p;
-          }
-        }
-        if (victim_prr == prrs.size()) break;
-
-        // Take the urgent job out FIRST: pushing the victim below may
-        // reallocate `ready` and would invalidate best_it.
-        const Job job = *best_it;
-        ready.erase(best_it);
-
-        PrrState& prr = prrs[victim_prr];
-        Job victim = *prr.running;
-        prr.running.reset();
-        ++result.preemptions;
-        if (config.mode == PreemptMode::kSaveRestore) {
-          icap_time(config.context_save_s);
-          result.total_save_restore_s += config.context_save_s;
-          victim.remaining_s = std::max(0.0, prr.exec_end - now);
-          victim.needs_restore = true;
-        } else {
-          victim.remaining_s = tasks[victim.task].exec_s;  // lost work
-        }
-        ready.push_back(victim);
-        dispatch(victim_prr, job);
-        preempted = true;
       }
+      if (victim_prr == prrs.size()) break;
+
+      // Take the urgent job out FIRST: pushing the victim below may
+      // reallocate `ready`.
+      const Job job = pop_ready(ready, SchedPolicy::kPriority, task_of);
+
+      PrrState& prr = prrs[victim_prr];
+      Job victim = *prr.running;
+      prr.running.reset();
+      ++result.preemptions;
+      if (config.mode == PreemptMode::kSaveRestore) {
+        icap.occupy(now, config.context_save_s);
+        result.total_save_restore_s += config.context_save_s;
+        victim.remaining_s = std::max(0.0, prr.exec_end - now);
+        victim.needs_restore = true;
+      } else {
+        victim.remaining_s = tasks[victim.task].exec_s;  // lost work
+      }
+      ready.push_back(victim);
+      dispatch(victim_prr, job);
     }
 
     // Advance to the next event.
@@ -228,13 +181,15 @@ PreemptiveResult simulate_preemptive(const std::vector<PrmInfo>& prms,
       if (prr.running) next = std::min(next, prr.exec_end);
     }
     if (!std::isfinite(next)) {
-      if (completed < tasks.size() && ready.empty()) {
+      if (ledger.ended < tasks.size() && ready.empty()) {
         throw ContractError{"simulate_preemptive: deadlocked schedule"};
       }
       continue;  // ready jobs will dispatch next iteration
     }
     now = std::max(now, next);
   }
+  static_cast<FaultTotals&>(result) = ledger.totals(icap.ledger());
+  result.makespan_s = ledger.makespan_s;
 
   // High-priority wait statistic (top quartile by priority).
   std::vector<u32> priorities;

@@ -33,7 +33,7 @@ struct PreemptiveConfig {
   u32 prr_count = 1;
   PreemptMode mode = PreemptMode::kSaveRestore;
   StorageMedia media = StorageMedia::kDdrSdram;
-  std::shared_ptr<const ReconfigController> controller;  ///< null = DMA
+  std::shared_ptr<const ReconfigController> controller;  ///< null = default
   double context_save_s = 0.0;     ///< HTR readback cost per preemption
   double context_restore_s = 0.0;  ///< HTR write-back cost per resume
   /// Fault injection: when set, every reconfiguration runs the verified
@@ -45,21 +45,15 @@ struct PreemptiveConfig {
   double drop_penalty_s = 0.0;  ///< recorded penalty per dropped task
 };
 
-/// Results; task outcomes carry final completion times.
-struct PreemptiveResult {
+/// Results; task outcomes carry final completion times. The fault fields
+/// are zero when PreemptiveConfig::faults is null.
+struct PreemptiveResult : FaultTotals {
   double makespan_s = 0;
   u64 preemptions = 0;
   u64 reconfig_count = 0;
   double total_reconfig_s = 0;
   double total_save_restore_s = 0;
   double mean_high_priority_wait_s = 0;  ///< mean wait of top-quartile tasks
-  // Fault accounting (all zero when PreemptiveConfig::faults is null).
-  u64 failed_reconfigs = 0;  ///< transfers that exhausted their retries
-  u64 dropped_tasks = 0;     ///< jobs abandoned after permanent failure
-  u64 retry_attempts = 0;    ///< transfer attempts beyond the first
-  double total_retry_backoff_s = 0;  ///< time spent backing off
-  double total_fault_wasted_s = 0;   ///< ICAP time on failed attempts
-  double total_penalty_s = 0;        ///< dropped_tasks * drop_penalty_s
   std::vector<TaskOutcome> tasks;
 };
 

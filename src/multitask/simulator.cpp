@@ -1,8 +1,9 @@
 #include "multitask/simulator.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
+#include <utility>
 
 #include "obs/obs.hpp"
 #include "util/error.hpp"
@@ -15,6 +16,7 @@ std::string_view sched_policy_name(SchedPolicy policy) {
     case SchedPolicy::kSjf: return "SJF";
     case SchedPolicy::kPriority: return "Priority";
     case SchedPolicy::kReuseAware: return "Reuse-aware";
+    case SchedPolicy::kEdf: return "EDF";
   }
   return "?";
 }
@@ -27,86 +29,48 @@ struct PrrState {
   double busy_exec_s = 0.0;   ///< accumulated execution time
 };
 
-/// Pick the next ready task index under `policy`, given idle PRR contents.
-std::size_t pick_task(const std::vector<HwTask>& tasks,
-                      const std::vector<std::size_t>& ready,
-                      SchedPolicy policy,
-                      const std::vector<PrrState>& prrs, double now) {
-  switch (policy) {
-    case SchedPolicy::kFcfs:
-      return ready.front();  // ready is kept in arrival order
-    case SchedPolicy::kSjf: {
-      std::size_t best = ready.front();
-      for (const std::size_t i : ready) {
-        if (tasks[i].exec_s < tasks[best].exec_s) best = i;
-      }
-      return best;
-    }
-    case SchedPolicy::kPriority: {
-      std::size_t best = ready.front();
-      for (const std::size_t i : ready) {
-        if (tasks[i].priority > tasks[best].priority) best = i;
-      }
-      return best;
-    }
-    case SchedPolicy::kReuseAware: {
-      for (const std::size_t i : ready) {
-        for (const PrrState& prr : prrs) {
-          if (prr.free_at <= now && prr.loaded == tasks[i].prm) return i;
-        }
-      }
-      return ready.front();
-    }
-  }
-  throw ContractError{"pick_task: unknown policy"};
-}
-
-std::shared_ptr<const ReconfigController> default_controller() {
-  return std::make_shared<DmaIcapController>(default_icap(Family::kVirtex5));
-}
-
-}  // namespace
-
-SimResult simulate(const std::vector<PrmInfo>& prms, std::vector<HwTask> tasks,
-                   const SimConfig& config) {
-  PRCOST_TRACE_SPAN("multitask_sim");
-  if (config.prr_count == 0) throw ContractError{"simulate: zero PRRs"};
-  for (const HwTask& task : tasks) {
-    if (task.prm >= prms.size()) {
-      throw ContractError{"simulate: task references unknown PRM"};
-    }
-  }
-  auto controller = config.controller ? config.controller : default_controller();
-
+/// The PRR-pool event loop behind simulate and simulate_full_reconfig;
+/// adds the bytes it fetched from storage to `reconfig_bytes`.
+SimResult run_pool(const std::vector<PrmInfo>& prms, std::vector<HwTask> tasks,
+                   const SimConfig& config, u64& reconfig_bytes) {
+  IcapChannel icap{config.controller};
   sort_by_arrival(tasks);
 
   SimResult result;
   result.tasks.resize(tasks.size());
   std::vector<PrrState> prrs(config.prr_count);
-  double icap_free_at = 0.0;
+  OutcomeLedger ledger;
 
-  std::vector<std::size_t> ready;  // arrival order
+  // Arrival order; re-queued (rescheduled) tasks go to the back.
+  std::vector<std::size_t> ready;
   std::size_t next_arrival = 0;
-  std::size_t completed = 0;
   double now = 0.0;
-  u64 reconfig_bytes = 0;  // tallied locally, counted once after the loop
   // Per-task re-queue budget consumed (FaultRecovery::kReschedule only).
   std::vector<u32> reschedules(config.faults ? tasks.size() : 0, 0);
+  const auto task_at = [&tasks](std::size_t i) -> const HwTask& {
+    return tasks[i];
+  };
+  // Index of the first idle PRR holding `prm`, prrs.size() if none.
+  const auto idle_holding = [&prrs, &now](u32 prm) {
+    std::size_t p = 0;
+    while (p < prrs.size() &&
+           !(prrs[p].free_at <= now && prrs[p].loaded == prm)) {
+      ++p;
+    }
+    return p;
+  };
+  const auto idle_holds = [&](const HwTask& task) {
+    return idle_holding(task.prm) < prrs.size();
+  };
 
-  while (completed < tasks.size()) {
+  while (ledger.ended < tasks.size()) {
     // Admit arrivals up to `now`.
     while (next_arrival < tasks.size() &&
            tasks[next_arrival].arrival_s <= now) {
       ready.push_back(next_arrival++);
     }
-    // Find an idle PRR.
-    std::size_t idle = prrs.size();
-    for (std::size_t p = 0; p < prrs.size(); ++p) {
-      if (prrs[p].free_at <= now) {
-        idle = p;
-        break;
-      }
-    }
+    std::size_t idle = 0;
+    while (idle < prrs.size() && !(prrs[idle].free_at <= now)) ++idle;
     if (ready.empty() || idle == prrs.size()) {
       // Advance time to the next interesting instant.
       double next = std::numeric_limits<double>::infinity();
@@ -124,18 +88,12 @@ SimResult simulate(const std::vector<PrmInfo>& prms, std::vector<HwTask> tasks,
     }
 
     const std::size_t ti =
-        pick_task(tasks, ready, config.policy, prrs, now);
-    ready.erase(std::find(ready.begin(), ready.end(), ti));
+        pop_ready(ready, config.policy, task_at, idle_holds);
     const HwTask& task = tasks[ti];
 
     // Prefer an idle PRR that already holds the PRM.
-    std::size_t target = idle;
-    for (std::size_t p = 0; p < prrs.size(); ++p) {
-      if (prrs[p].free_at <= now && prrs[p].loaded == task.prm) {
-        target = p;
-        break;
-      }
-    }
+    std::size_t target = idle_holding(task.prm);
+    if (target == prrs.size()) target = idle;
     PrrState& prr = prrs[target];
 
     TaskOutcome& outcome = result.tasks[ti];
@@ -144,12 +102,11 @@ SimResult simulate(const std::vector<PrmInfo>& prms, std::vector<HwTask> tasks,
 
     double exec_start = now;
     if (prr.loaded != task.prm) {
-      // Context switch: serialize on the shared ICAP. With HTR enabled and
-      // the PRM live in another PRR, an on-chip copy can replace the
-      // storage fetch when it is cheaper.
-      const double storage_s =
-          controller->estimate(prms[task.prm].bitstream_bytes, config.media)
-              .total_s;
+      // Context switch on the shared ICAP. With HTR enabled and the PRM
+      // live in another PRR, an on-chip copy can replace the storage
+      // fetch when it is cheaper.
+      const u64 bytes = prms[task.prm].bitstream_bytes;
+      const double storage_s = icap.estimate_s(bytes, config.media);
       bool relocate = false;
       if (config.allow_relocation && config.relocation_s > 0.0 &&
           config.relocation_s < storage_s) {
@@ -161,23 +118,15 @@ SimResult simulate(const std::vector<PrmInfo>& prms, std::vector<HwTask> tasks,
         }
       }
       if (!relocate && config.faults != nullptr) {
-        // Fault mode: run the CRC-verified transfer loop. The ICAP time
-        // (including failed attempts and backoff) is spent whether or not
-        // the transfer ultimately succeeds.
-        const TransferOutcome xfer = verified_transfer(
-            *controller, prms[task.prm].bitstream_bytes, config.media,
-            config.faults, config.retry);
+        // Fault mode: the CRC-verified transfer spends its ICAP time
+        // (failed attempts and backoff included) success or not.
+        const TransferOutcome xfer = icap.transfer(
+            now, bytes, config.media, config.faults, config.retry);
         outcome.reconfig_attempts += xfer.attempts;
-        result.retry_attempts += xfer.attempts - 1;
-        result.total_retry_backoff_s += xfer.backoff_s;
-        result.total_fault_wasted_s += xfer.wasted_s;
-        const double switch_start = std::max(now, icap_free_at);
-        icap_free_at = switch_start + xfer.total_s;
         if (!xfer.success) {
           // Permanent failure: the PRR's contents are undefined and the
           // task did not run. Degrade gracefully - re-queue if the budget
           // allows, otherwise drop with a recorded penalty.
-          ++result.failed_reconfigs;
           prr.loaded.reset();
           if (config.recovery == FaultRecovery::kReschedule &&
               reschedules[ti] < config.max_reschedules) {
@@ -186,38 +135,29 @@ SimResult simulate(const std::vector<PrmInfo>& prms, std::vector<HwTask> tasks,
             ready.push_back(ti);
             continue;
           }
-          outcome.dropped = true;
-          outcome.start_s = icap_free_at;
-          outcome.finish_s = icap_free_at;
-          outcome.wait_s = icap_free_at - task.arrival_s;
-          result.makespan_s = std::max(result.makespan_s, outcome.finish_s);
-          ++result.dropped_tasks;
-          result.total_penalty_s += config.drop_penalty_s;
-          ++completed;
+          outcome.start_s = icap.free_at();
+          ledger.drop(outcome, icap.free_at(), task.arrival_s,
+                      config.drop_penalty_s);
           continue;
         }
-        reconfig_bytes += prms[task.prm].bitstream_bytes;
+        reconfig_bytes += bytes;
         result.total_reconfig_s += xfer.total_s;
         ++result.reconfig_count;
-        exec_start = icap_free_at;
-        prr.loaded = task.prm;
-        outcome.reconfigured = true;
       } else {
-        if (!relocate) reconfig_bytes += prms[task.prm].bitstream_bytes;
         const double switch_s = relocate ? config.relocation_s : storage_s;
-        const double switch_start = std::max(now, icap_free_at);
-        icap_free_at = switch_start + switch_s;
-        exec_start = icap_free_at;
-        prr.loaded = task.prm;
-        outcome.reconfigured = true;
+        icap.occupy(now, switch_s);
         if (relocate) {
           result.total_relocation_s += switch_s;
           ++result.relocation_count;
         } else {
+          reconfig_bytes += bytes;
           result.total_reconfig_s += switch_s;
           ++result.reconfig_count;
         }
       }
+      exec_start = icap.free_at();
+      prr.loaded = task.prm;
+      outcome.reconfigured = true;
     } else {
       ++result.reuse_hits;
     }
@@ -226,9 +166,10 @@ SimResult simulate(const std::vector<PrmInfo>& prms, std::vector<HwTask> tasks,
     outcome.wait_s = exec_start - task.arrival_s;
     prr.free_at = outcome.finish_s;
     prr.busy_exec_s += task.exec_s;
-    result.makespan_s = std::max(result.makespan_s, outcome.finish_s);
-    ++completed;
+    ledger.finish(outcome.finish_s);
   }
+  static_cast<FaultTotals&>(result) = ledger.totals(icap.ledger());
+  result.makespan_s = ledger.makespan_s;
 
   double wait_sum = 0;
   for (const TaskOutcome& t : result.tasks) wait_sum += t.wait_s;
@@ -241,8 +182,20 @@ SimResult simulate(const std::vector<PrmInfo>& prms, std::vector<HwTask> tasks,
           ? busy_sum / (result.makespan_s *
                         static_cast<double>(config.prr_count))
           : 0.0;
+  return result;
+}
+
+}  // namespace
+
+SimResult simulate(const std::vector<PrmInfo>& prms, std::vector<HwTask> tasks,
+                   const SimConfig& config) {
+  PRCOST_TRACE_SPAN("multitask_sim");
+  if (config.prr_count == 0) throw ContractError{"simulate: zero PRRs"};
+  check_prm_indices("simulate", prms, tasks);
+  u64 reconfig_bytes = 0;
+  SimResult result = run_pool(prms, std::move(tasks), config, reconfig_bytes);
   PRCOST_COUNT("sim.runs");
-  PRCOST_COUNT_N("sim.tasks_completed", tasks.size());
+  PRCOST_COUNT_N("sim.tasks_completed", result.tasks.size());
   PRCOST_COUNT_N("sim.reconfigs", result.reconfig_count);
   PRCOST_COUNT_N("sim.relocations", result.relocation_count);
   PRCOST_COUNT_N("sim.reuse_hits", result.reuse_hits);
@@ -258,56 +211,24 @@ SimResult simulate(const std::vector<PrmInfo>& prms, std::vector<HwTask> tasks,
 
 SimResult simulate_full_reconfig(
     const std::vector<PrmInfo>& prms, std::vector<HwTask> tasks,
-    u64 full_bitstream_bytes_, StorageMedia media,
+    u64 full_bitstream_bytes, StorageMedia media,
     std::shared_ptr<const ReconfigController> controller) {
   PRCOST_TRACE_SPAN("multitask_sim_full");
-  for (const HwTask& task : tasks) {
-    if (task.prm >= prms.size()) {
-      throw ContractError{"simulate_full_reconfig: unknown PRM"};
-    }
-  }
-  if (!controller) controller = default_controller();
-
-  sort_by_arrival(tasks);
-
-  SimResult result;
-  result.tasks.resize(tasks.size());
-  std::optional<u32> loaded;
-  double now = 0.0;
-  double exec_sum = 0.0;
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    const HwTask& task = tasks[i];
-    now = std::max(now, task.arrival_s);
-    TaskOutcome& outcome = result.tasks[i];
-    outcome.task_index = narrow<u32>(i);
-    if (loaded != task.prm) {
-      const double reconfig_s =
-          controller->estimate(full_bitstream_bytes_, media).total_s;
-      now += reconfig_s;
-      loaded = task.prm;
-      outcome.reconfigured = true;
-      result.total_reconfig_s += reconfig_s;
-      ++result.reconfig_count;
-    } else {
-      ++result.reuse_hits;
-    }
-    outcome.start_s = now;
-    outcome.finish_s = now + task.exec_s;
-    outcome.wait_s = outcome.start_s - task.arrival_s;
-    now = outcome.finish_s;
-    exec_sum += task.exec_s;
-  }
-  result.makespan_s = now;
-  double wait_sum = 0;
-  for (const TaskOutcome& t : result.tasks) wait_sum += t.wait_s;
-  result.mean_wait_s =
-      tasks.empty() ? 0.0 : wait_sum / static_cast<double>(tasks.size());
-  result.prr_busy_fraction =
-      result.makespan_s > 0 ? exec_sum / result.makespan_s : 0.0;
+  check_prm_indices("simulate_full_reconfig", prms, tasks);
+  // One full-device context is a one-PRR FCFS pool whose every PRM loads
+  // the full bitstream.
+  std::vector<PrmInfo> full = prms;
+  for (PrmInfo& prm : full) prm.bitstream_bytes = full_bitstream_bytes;
+  SimConfig config;
+  config.prr_count = 1;
+  config.policy = SchedPolicy::kFcfs;
+  config.media = media;
+  config.controller = std::move(controller);
+  u64 reconfig_bytes = 0;
+  SimResult result = run_pool(full, std::move(tasks), config, reconfig_bytes);
   PRCOST_COUNT("sim.full_reconfig_runs");
   PRCOST_COUNT_N("sim.reconfigs", result.reconfig_count);
-  PRCOST_COUNT_N("sim.reconfig_bytes",
-                 result.reconfig_count * full_bitstream_bytes_);
+  PRCOST_COUNT_N("sim.reconfig_bytes", reconfig_bytes);
   return result;
 }
 

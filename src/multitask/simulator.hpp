@@ -9,28 +9,12 @@
 // motivation argument of Section I.
 #pragma once
 
-#include <optional>
-#include <string>
+#include <memory>
 #include <vector>
 
-#include "multitask/workload.hpp"
-#include "reconfig/controllers.hpp"
+#include "multitask/event_core.hpp"
 
 namespace prcost {
-
-/// Task-to-PRR dispatch policy.
-enum class SchedPolicy {
-  kFcfs,       ///< arrival order
-  kSjf,        ///< shortest service first
-  kPriority,   ///< highest priority first (FCFS tie-break)
-  kReuseAware, ///< prefer tasks whose PRM is already loaded in an idle PRR
-};
-
-inline constexpr SchedPolicy kAllPolicies[] = {
-    SchedPolicy::kFcfs, SchedPolicy::kSjf, SchedPolicy::kPriority,
-    SchedPolicy::kReuseAware};
-
-std::string_view sched_policy_name(SchedPolicy policy);
 
 /// What to do with a task whose reconfiguration failed permanently (every
 /// verified-transfer retry delivered a corrupted bitstream or timed out).
@@ -44,7 +28,7 @@ struct SimConfig {
   u32 prr_count = 2;         ///< PRRs in the pool
   SchedPolicy policy = SchedPolicy::kReuseAware;
   StorageMedia media = StorageMedia::kDdrSdram;
-  /// Reconfiguration controller; nullptr selects a DMA-ICAP default.
+  /// Reconfiguration controller; nullptr selects default_controller().
   std::shared_ptr<const ReconfigController> controller;
   /// HTR option: when the incoming PRM is already configured in some other
   /// PRR, copy it on-chip (capture/readback/rewrite, see src/htr) instead
@@ -64,23 +48,9 @@ struct SimConfig {
   double drop_penalty_s = 0.0;  ///< recorded penalty per dropped task
 };
 
-/// Per-task outcome.
-struct TaskOutcome {
-  u32 task_index = 0;
-  u32 prr = 0;
-  bool reconfigured = false;  ///< context switch was needed
-  bool dropped = false;       ///< reconfiguration failed permanently
-  u32 reconfig_attempts = 0;  ///< verified-transfer attempts (fault runs)
-  double start_s = 0;         ///< execution start (post-reconfig)
-  double finish_s = 0;        ///< dropped tasks: instant the ICAP gave up
-  /// Time not spent executing: finish - arrival - exec, i.e. queueing
-  /// delay plus the task's own reconfiguration (and retry) delay. For
-  /// dropped tasks: give-up instant - arrival.
-  double wait_s = 0;
-};
-
-/// Aggregate results.
-struct SimResult {
+/// Aggregate results; the fault fields are zero when SimConfig::faults is
+/// null.
+struct SimResult : FaultTotals {
   double makespan_s = 0;
   double total_reconfig_s = 0;
   u64 reconfig_count = 0;
@@ -89,14 +59,7 @@ struct SimResult {
   double total_relocation_s = 0;
   double mean_wait_s = 0;
   double prr_busy_fraction = 0;  ///< mean execution utilization of PRRs
-  // Fault accounting (all zero when SimConfig::faults is null).
-  u64 failed_reconfigs = 0;   ///< transfers that exhausted their retries
-  u64 dropped_tasks = 0;      ///< tasks abandoned after permanent failure
-  u64 rescheduled_tasks = 0;  ///< re-queue events (kReschedule)
-  u64 retry_attempts = 0;     ///< transfer attempts beyond the first
-  double total_retry_backoff_s = 0;  ///< time spent backing off
-  double total_fault_wasted_s = 0;   ///< ICAP time on failed attempts
-  double total_penalty_s = 0;        ///< dropped_tasks * drop_penalty_s
+  u64 rescheduled_tasks = 0;     ///< re-queue events (kReschedule)
   std::vector<TaskOutcome> tasks;
 };
 

@@ -7,6 +7,18 @@
 
 namespace prcost {
 
+void check_prm_indices(std::string_view where,
+                       const std::vector<PrmInfo>& prms,
+                       const std::vector<HwTask>& tasks) {
+  for (const HwTask& task : tasks) {
+    if (task.prm >= prms.size()) {
+      throw ContractError{std::string{where} + ": task '" + task.name +
+                          "' references unknown PRM " +
+                          std::to_string(task.prm)};
+    }
+  }
+}
+
 std::vector<HwTask> make_workload(const WorkloadParams& params) {
   if (params.prm_count == 0) {
     throw ContractError{"make_workload: zero PRMs"};
@@ -28,9 +40,7 @@ std::vector<HwTask> make_workload(const WorkloadParams& params) {
   return tasks;
 }
 
-void sort_by_arrival(std::vector<HwTask>& tasks) {
-  // Sort an index permutation, not the tasks: the original position is
-  // the tie-break key, and it must be captured before anything moves.
+std::vector<std::size_t> arrival_order(const std::vector<HwTask>& tasks) {
   std::vector<std::size_t> order(tasks.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
   std::sort(order.begin(), order.end(),
@@ -40,6 +50,13 @@ void sort_by_arrival(std::vector<HwTask>& tasks) {
               }
               return a < b;
             });
+  return order;
+}
+
+void sort_by_arrival(std::vector<HwTask>& tasks) {
+  // Sort an index permutation, not the tasks: the original position is
+  // the tie-break key, and it must be captured before anything moves.
+  const std::vector<std::size_t> order = arrival_order(tasks);
   std::vector<HwTask> sorted;
   sorted.reserve(tasks.size());
   for (const std::size_t i : order) sorted.push_back(std::move(tasks[i]));

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cost/prr_model.hpp"
@@ -17,14 +18,21 @@ struct PrmInfo {
 };
 
 /// One task instance: run PRM `prm` for `exec_s` seconds, arriving at
-/// `arrival_s`.
+/// `arrival_s`. Every event loop takes this type (sched::Task names it).
 struct HwTask {
   std::string name;
-  u32 prm = 0;          ///< index into the PrmInfo table
+  u32 prm = 0;           ///< index into the PrmInfo table
   double arrival_s = 0;
-  double exec_s = 0;
-  u32 priority = 0;     ///< larger = more urgent (kPriority policy)
+  double exec_s = 0;     ///< hardware execution time once placed
+  u32 priority = 0;      ///< larger = more urgent (kPriority policy)
+  double deadline_s = 0; ///< absolute completion deadline (0 = none)
 };
+
+/// Throw ContractError naming `where` and the first task whose PRM index
+/// is outside `prms`.
+void check_prm_indices(std::string_view where,
+                       const std::vector<PrmInfo>& prms,
+                       const std::vector<HwTask>& tasks);
 
 /// Deterministic random workload: `count` tasks over `prm_count` PRMs with
 /// exponential inter-arrival (mean `mean_interarrival_s`) and exponential
@@ -39,10 +47,13 @@ struct WorkloadParams {
 std::vector<HwTask> make_workload(const WorkloadParams& params);
 
 /// Canonical dispatch order shared by every simulator and the online
-/// scheduler: sort by (arrival_s, original position). The explicit
-/// positional tie-break pins equal-arrival ordering to the input order,
-/// independent of the standard library's sort implementation, so
-/// same-seed runs are reproducible everywhere.
+/// scheduler: input positions sorted by (arrival_s, original position).
+/// The explicit positional tie-break pins equal-arrival ordering to the
+/// input order, independent of the standard library's sort
+/// implementation, so same-seed runs are reproducible everywhere.
+std::vector<std::size_t> arrival_order(const std::vector<HwTask>& tasks);
+
+/// Reorder `tasks` into arrival_order.
 void sort_by_arrival(std::vector<HwTask>& tasks);
 
 }  // namespace prcost

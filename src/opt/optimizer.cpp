@@ -5,8 +5,7 @@
 
 #include "cost/prr_model.hpp"
 #include "obs/obs.hpp"
-#include "reconfig/baselines.hpp"
-#include "reconfig/controllers.hpp"
+#include "reconfig/icap_channel.hpp"
 #include "util/error.hpp"
 #include "util/parallel.hpp"
 
@@ -159,11 +158,8 @@ CostBreakdown evaluate(const OptInstance& instance, const PlanState& state,
     ++cost.placed_groups;
     const u64 bytes =
         state.fp.placements()[index].plan.bitstream.total_bytes;
-    const double attempt_s =
-        controller.estimate(bytes, options.media).total_s;
-    effective_reconfig_s[g] =
-        expected_retry_cost(attempt_s, options.fault_rate, policy)
-            .expected_time_s;
+    effective_reconfig_s[g] = expected_reconfig_s(
+        controller, bytes, options.media, options.fault_rate, policy);
   }
   for (std::size_t i = 0; i < instance.prms.size(); ++i) {
     if (!placed[instance.group_of[i]]) ++cost.rejected_prms;

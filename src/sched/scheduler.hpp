@@ -2,21 +2,19 @@
 //
 // The multitask simulators replay fixed, pre-sorted schedules; this module
 // makes the dispatch decision *online*, as tasks arrive, the way a
-// production PR runtime would:
+// production PR runtime would, on the shared event core
+// (multitask/event_core.hpp, reconfig/icap_channel.hpp):
 //
-//   - a priority ready-queue with pluggable policies (FCFS / priority /
-//     EDF) over online arrivals (Poisson / bursty generators or JSONL
-//     trace replay - src/sched/generators.hpp);
-//   - a fixed pool of PRR slots (placed upstream by the bitmask
-//     floorplanner) sharing one ICAP, where every candidate placement is
-//     priced through the paper's cost models: controller estimate of the
-//     partial-bitstream transfer (Eq. 18-23 feed the byte size) times the
-//     expected_retry_cost expansion under the PR 5 fault model;
+//   - FCFS / priority / EDF over online arrivals (Poisson / bursty
+//     generators or JSONL trace replay - src/sched/generators.hpp);
+//   - a fixed pool of PRR slots sharing one ICAP; each task takes the slot
+//     with the earliest finish, every reconfiguration priced at its
+//     expected ICAP time under the fault model;
 //   - bitstream prefetch: when a PRM's arrival-rate estimate crosses a
 //     threshold its partial bitstream is staged from cold storage into
 //     memory (the process-wide bitstream cache via `prefetch_hook`), so
 //     later reconfigurations fetch at warm-media speed;
-//   - CPU fallback: when every idle PRR placement would miss the task's
+//   - CPU fallback: when every PRR placement would miss the task's
 //     deadline, the task runs in software at `cpu_slowdown` cost instead
 //     of wasting ICAP bandwidth on a doomed reconfiguration.
 //
@@ -31,34 +29,22 @@
 #include <string_view>
 #include <vector>
 
-#include "multitask/workload.hpp"
-#include "reconfig/controllers.hpp"
-#include "reconfig/faults.hpp"
-#include "reconfig/media.hpp"
-#include "util/ints.hpp"
+#include "multitask/event_core.hpp"
 
 namespace prcost::sched {
 
-/// Ready-queue discipline.
-enum class Policy {
-  kFcfs,      ///< (arrival, input order) - the admission order itself
-  kPriority,  ///< largest priority first (ties: admission order)
-  kEdf,       ///< earliest absolute deadline first (no deadline = last)
-};
+/// Ready-queue discipline: the simulators' policy enum. parse_policy
+/// accepts kFcfs, kPriority (ties: admission order) and kEdf (no
+/// deadline = last).
+using Policy = SchedPolicy;
 
 std::string_view policy_name(Policy policy);
 /// "fcfs" | "priority" | "edf" -> Policy; throws UsageError otherwise.
 Policy parse_policy(std::string_view name);
 
-/// One online task instance.
-struct Task {
-  std::string name;
-  u32 prm = 0;           ///< index into the PrmInfo table
-  double arrival_s = 0;
-  double exec_s = 0;     ///< hardware execution time once placed
-  u32 priority = 0;      ///< larger = more urgent (kPriority)
-  double deadline_s = 0; ///< absolute completion deadline (0 = none)
-};
+/// One online task instance; deadline_s is the absolute completion
+/// deadline (0 = none).
+using Task = HwTask;
 
 struct SchedulerConfig {
   u32 slot_count = 2;    ///< PRR slots (floorplanner-placed upstream)
@@ -67,11 +53,10 @@ struct SchedulerConfig {
   /// (warm) a prefetch staged them into memory.
   StorageMedia cold_media = StorageMedia::kFlash;
   StorageMedia warm_media = StorageMedia::kDdrSdram;
-  /// Reconfiguration controller; null = DMA-ICAP on Virtex-5 timings.
+  /// Reconfiguration controller; null selects default_controller().
   std::shared_ptr<const ReconfigController> controller;
-  /// Fault environment for reconfiguration pricing: each transfer costs
-  /// its expected_retry_cost wall time instead of the fault-free
-  /// estimate. Rate 0 (default) collapses to the plain estimate.
+  /// Corruption rate for reconfiguration pricing (expected_reconfig_s);
+  /// rates at or below 0 (default) price the plain estimate.
   double fault_rate = 0.0;
   RetryPolicy retry;
   /// Prefetch: issue when a PRM's arrival-rate estimate (EWMA of
