@@ -7,7 +7,7 @@
 // of (family traits, PRR plan geometry, GeneratorOptions) - the family
 // enum interns the fabric's frame constants, and the plan's organization,
 // column window, and first row pin the burst layout - so the words can be
-// memoized process-wide, modeled on src/cost/plan_cache:
+// memoized process-wide in a util/sharded_cache table:
 //
 //   - sharded (mutex per shard) so parallel_for generation sweeps do not
 //     serialize on one lock;

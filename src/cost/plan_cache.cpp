@@ -1,15 +1,14 @@
 #include "cost/plan_cache.hpp"
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <iterator>
-#include <mutex>
 #include <unordered_map>
 #include <utility>
 
 #include "obs/obs.hpp"
 #include "util/error.hpp"
+#include "util/sharded_cache.hpp"
 #include "util/snapshot.hpp"
 
 namespace prcost {
@@ -41,22 +40,11 @@ struct Key {
 
 struct KeyHash {
   std::size_t operator()(const Key& key) const noexcept {
-    // FNV-1a over the key fields (field-wise, not memcmp: Key has padding).
-    u64 h = 14695981039346656037ull;
-    const auto mix = [&h](u64 v) {
-      h ^= v;
-      h *= 1099511628211ull;
-    };
-    mix(key.fabric_id);
-    mix(key.req.lut_ff_pairs);
-    mix(key.req.luts);
-    mix(key.req.ffs);
-    mix(key.req.dsps);
-    mix(key.req.brams);
-    mix(key.max_height);
-    mix(key.objective);
-    mix(static_cast<u64>(key.kind));
-    return static_cast<std::size_t>(h);
+    Fnv1a h;
+    h.mix(key.fabric_id).mix(key.req.lut_ff_pairs).mix(key.req.luts);
+    h.mix(key.req.ffs).mix(key.req.dsps).mix(key.req.brams);
+    h.mix(key.max_height).mix(key.objective).mix(static_cast<u64>(key.kind));
+    return static_cast<std::size_t>(h.h);
   }
 };
 
@@ -65,116 +53,29 @@ struct Entry {
   std::shared_ptr<const std::vector<PrrPlan>> candidates;  // kCandidates/kWidened
 };
 
-class Cache {
- public:
-  static Cache& instance() {
-    static Cache cache;
-    return cache;
+struct PlanCacheTraits {
+  static void hit() {
+    PRCOST_COUNT("plan_cache.hits");
+    PRCOST_REQUEST_EVENT(kPlanCacheHit);
   }
-
-  /// nullptr on miss. Shared entries: callers must not mutate.
-  std::shared_ptr<const Entry> lookup(const Key& key) {
-    Shard& shard = shard_for(key);
-    {
-      const std::scoped_lock lock{shard.mu};
-      const auto it = shard.map.find(key);
-      if (it != shard.map.end()) {
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        PRCOST_COUNT("plan_cache.hits");
-        PRCOST_REQUEST_EVENT(kPlanCacheHit);
-        return it->second;
-      }
-    }
-    misses_.fetch_add(1, std::memory_order_relaxed);
+  static void miss() {
     PRCOST_COUNT("plan_cache.misses");
     PRCOST_REQUEST_EVENT(kPlanCacheMiss);
-    return nullptr;
   }
-
-  /// Insert (first writer wins) and return the resident entry.
-  std::shared_ptr<const Entry> insert(const Key& key,
-                                      std::shared_ptr<const Entry> entry) {
-    Shard& shard = shard_for(key);
-    const std::size_t shard_cap =
-        std::max<std::size_t>(1, capacity_.load(std::memory_order_relaxed) /
-                                     kShardCount);
-    const std::scoped_lock lock{shard.mu};
-    if (shard.map.size() >= shard_cap &&
-        shard.map.find(key) == shard.map.end()) {
-      // Full: drop an arbitrary resident entry (hash order ~ random). The
-      // DSE working set is far below the cap; this is an overflow valve,
-      // not an LRU.
-      shard.map.erase(shard.map.begin());
-      entries_.fetch_sub(1, std::memory_order_relaxed);
-      evictions_.fetch_add(1, std::memory_order_relaxed);
-      PRCOST_COUNT("plan_cache.evictions");
-    }
-    const auto [it, inserted] = shard.map.try_emplace(key, std::move(entry));
-    if (inserted) {
-      PRCOST_GAUGE_SET("plan_cache.entries",
-                       entries_.fetch_add(1, std::memory_order_relaxed) + 1);
-    }
-    return it->second;
+  static void evicted() { PRCOST_COUNT("plan_cache.evictions"); }
+  static void gauges(std::size_t entries, std::size_t) {
+    PRCOST_GAUGE_SET("plan_cache.entries", entries);
   }
-
-  void clear() {
-    for (Shard& shard : shards_) {
-      const std::scoped_lock lock{shard.mu};
-      entries_.fetch_sub(shard.map.size(), std::memory_order_relaxed);
-      shard.map.clear();
-    }
-    PRCOST_GAUGE_SET("plan_cache.entries",
-                     entries_.load(std::memory_order_relaxed));
-  }
-
-  PlanCacheStats stats() const {
-    PlanCacheStats out;
-    out.hits = hits_.load(std::memory_order_relaxed);
-    out.misses = misses_.load(std::memory_order_relaxed);
-    out.evictions = evictions_.load(std::memory_order_relaxed);
-    for (const Shard& shard : shards_) {
-      const std::scoped_lock lock{shard.mu};
-      out.entries += shard.map.size();
-    }
-    return out;
-  }
-
-  void set_capacity(std::size_t max_entries) {
-    capacity_.store(std::max<std::size_t>(kShardCount, max_entries),
-                    std::memory_order_relaxed);
-  }
-
-  /// Point-in-time copy of every resident (key, entry) pair, shard by
-  /// shard. Entries are shared_ptr, so this pins them without copying.
-  std::vector<std::pair<Key, std::shared_ptr<const Entry>>> resident() const {
-    std::vector<std::pair<Key, std::shared_ptr<const Entry>>> out;
-    for (const Shard& shard : shards_) {
-      const std::scoped_lock lock{shard.mu};
-      out.reserve(out.size() + shard.map.size());
-      for (const auto& [key, entry] : shard.map) out.emplace_back(key, entry);
-    }
-    return out;
-  }
-
- private:
-  static constexpr std::size_t kShardCount = 16;
-
-  struct Shard {
-    mutable std::mutex mu;
-    std::unordered_map<Key, std::shared_ptr<const Entry>, KeyHash> map;
-  };
-
-  Shard& shard_for(const Key& key) {
-    return shards_[KeyHash{}(key)&(kShardCount - 1)];
-  }
-
-  std::array<Shard, kShardCount> shards_;
-  std::atomic<u64> hits_{0};
-  std::atomic<u64> misses_{0};
-  std::atomic<u64> evictions_{0};
-  std::atomic<std::size_t> entries_{0};  ///< mirrors the shard maps (gauge)
-  std::atomic<std::size_t> capacity_{1u << 16};
+  static std::size_t weight(const std::shared_ptr<const Entry>&) { return 0; }
 };
+
+using Cache = ShardedCache<Key, std::shared_ptr<const Entry>, KeyHash,
+                           PlanCacheTraits, 16>;
+
+Cache& cache() {
+  static Cache instance{1u << 16};
+  return instance;
+}
 
 // ---------------------------------------------------------------------
 // Snapshot persistence (plan_cache_save / plan_cache_load).
@@ -263,7 +164,7 @@ std::size_t plan_cache_save(const std::string& path) {
     out.put_u32(record.rows);
     out.put_string(record.pattern);
   }
-  const auto resident = Cache::instance().resident();
+  const auto resident = cache().resident();
   out.put_u64(resident.size());
   for (const auto& [key, entry] : resident) {
     out.put_u64(key.fabric_id);
@@ -304,53 +205,47 @@ std::size_t plan_cache_load(const std::string& path) {
     translate[old_id] =
         intern_fabric_identity(static_cast<Family>(family), pattern, rows);
   }
-  // Decode everything before touching the cache, so a malformed payload
-  // leaves it unchanged.
-  std::vector<std::pair<Key, std::shared_ptr<const Entry>>> loaded;
-  const u64 entry_count = in.get_u64();
-  // Bound the reserve: a crafted count larger than the payload could
-  // otherwise throw bad_alloc instead of the underrun ParseError below.
-  loaded.reserve(std::min<u64>(entry_count, 1u << 16));
-  for (u64 i = 0; i < entry_count; ++i) {
-    Key key;
-    const u64 old_fabric = in.get_u64();
-    const auto mapped = translate.find(old_fabric);
-    if (mapped == translate.end()) {
-      throw ParseError{"snapshot '" + path + "': unknown fabric id"};
+  return cache().load([&](auto& loaded) {
+    const u64 entry_count = in.get_u64();
+    // Bound the reserve: a crafted count larger than the payload could
+    // otherwise throw bad_alloc instead of the underrun ParseError below.
+    loaded.reserve(std::min<u64>(entry_count, 1u << 16));
+    for (u64 i = 0; i < entry_count; ++i) {
+      Key key;
+      const auto mapped = translate.find(in.get_u64());
+      if (mapped == translate.end()) {
+        throw ParseError{"snapshot '" + path + "': unknown fabric id"};
+      }
+      key.fabric_id = mapped->second;
+      key.req.lut_ff_pairs = in.get_u64();
+      key.req.luts = in.get_u64();
+      key.req.ffs = in.get_u64();
+      key.req.dsps = in.get_u64();
+      key.req.brams = in.get_u64();
+      key.max_height = in.get_u32();
+      key.objective = in.get_u32();
+      const u32 kind = in.get_u32();
+      if (kind > static_cast<u32>(EntryKind::kWidened)) {
+        throw ParseError{"snapshot '" + path + "': invalid entry kind"};
+      }
+      key.kind = static_cast<EntryKind>(kind);
+      auto entry = std::make_shared<Entry>();
+      if (key.kind == EntryKind::kFindPrr) {
+        if (in.get_u32() != 0) entry->plan = get_plan(in);
+      } else {
+        const u64 plan_count = in.get_u64();
+        std::vector<PrrPlan> plans;
+        plans.reserve(std::min<u64>(plan_count, 1u << 16));
+        for (u64 j = 0; j < plan_count; ++j) plans.push_back(get_plan(in));
+        entry->candidates =
+            std::make_shared<const std::vector<PrrPlan>>(std::move(plans));
+      }
+      loaded.emplace_back(key, std::move(entry));
     }
-    key.fabric_id = mapped->second;
-    key.req.lut_ff_pairs = in.get_u64();
-    key.req.luts = in.get_u64();
-    key.req.ffs = in.get_u64();
-    key.req.dsps = in.get_u64();
-    key.req.brams = in.get_u64();
-    key.max_height = in.get_u32();
-    key.objective = in.get_u32();
-    const u32 kind = in.get_u32();
-    if (kind > static_cast<u32>(EntryKind::kWidened)) {
-      throw ParseError{"snapshot '" + path + "': invalid entry kind"};
+    if (in.remaining() != 0) {
+      throw ParseError{"snapshot '" + path + "': trailing bytes"};
     }
-    key.kind = static_cast<EntryKind>(kind);
-    auto entry = std::make_shared<Entry>();
-    if (key.kind == EntryKind::kFindPrr) {
-      if (in.get_u32() != 0) entry->plan = get_plan(in);
-    } else {
-      const u64 plan_count = in.get_u64();
-      std::vector<PrrPlan> plans;
-      plans.reserve(std::min<u64>(plan_count, 1u << 16));
-      for (u64 j = 0; j < plan_count; ++j) plans.push_back(get_plan(in));
-      entry->candidates =
-          std::make_shared<const std::vector<PrrPlan>>(std::move(plans));
-    }
-    loaded.emplace_back(key, std::move(entry));
-  }
-  if (in.remaining() != 0) {
-    throw ParseError{"snapshot '" + path + "': trailing bytes"};
-  }
-  for (auto& [key, entry] : loaded) {
-    Cache::instance().insert(key, std::move(entry));
-  }
-  return loaded.size();
+  });
 }
 
 bool plan_cache_enabled() noexcept {
@@ -370,10 +265,10 @@ std::optional<PrrPlan> find_prr_cached(const PrmRequirements& req,
   key.max_height = options.max_height;
   key.objective = static_cast<u32>(options.objective);
   key.kind = EntryKind::kFindPrr;
-  if (const auto entry = Cache::instance().lookup(key)) return entry->plan;
+  if (const auto entry = cache().lookup(key)) return entry->plan;
   auto entry = std::make_shared<Entry>();
   entry->plan = find_prr_uncached(req, fabric, options);
-  return Cache::instance().insert(key, std::move(entry))->plan;
+  return cache().insert(key, std::move(entry))->plan;
 }
 
 std::shared_ptr<const std::vector<PrrPlan>> placement_candidates(
@@ -388,13 +283,13 @@ std::shared_ptr<const std::vector<PrrPlan>> placement_candidates(
   key.req = req;
   key.objective = static_cast<u32>(objective);
   key.kind = EntryKind::kCandidates;
-  if (const auto entry = Cache::instance().lookup(key)) {
+  if (const auto entry = cache().lookup(key)) {
     return entry->candidates;
   }
   auto entry = std::make_shared<Entry>();
   entry->candidates = std::make_shared<const std::vector<PrrPlan>>(
       placement_candidates_uncached(req, fabric, objective));
-  return Cache::instance().insert(key, std::move(entry))->candidates;
+  return cache().insert(key, std::move(entry))->candidates;
 }
 
 std::shared_ptr<const std::vector<PrrPlan>> widened_candidates(
@@ -409,22 +304,25 @@ std::shared_ptr<const std::vector<PrrPlan>> widened_candidates(
   key.req = req;
   key.objective = static_cast<u32>(objective);
   key.kind = EntryKind::kWidened;
-  if (const auto entry = Cache::instance().lookup(key)) {
+  if (const auto entry = cache().lookup(key)) {
     return entry->candidates;
   }
   auto entry = std::make_shared<Entry>();
   entry->candidates = std::make_shared<const std::vector<PrrPlan>>(
       widen_candidates(*placement_candidates(req, fabric, objective), req,
                        fabric));
-  return Cache::instance().insert(key, std::move(entry))->candidates;
+  return cache().insert(key, std::move(entry))->candidates;
 }
 
-void plan_cache_clear() { Cache::instance().clear(); }
+void plan_cache_clear() { cache().clear(); }
 
-PlanCacheStats plan_cache_stats() { return Cache::instance().stats(); }
+PlanCacheStats plan_cache_stats() {
+  const ShardedCacheStats stats = cache().stats();
+  return {stats.hits, stats.misses, stats.evictions, stats.entries};
+}
 
 void set_plan_cache_capacity(std::size_t max_entries) {
-  Cache::instance().set_capacity(max_entries);
+  cache().set_capacity(max_entries);
 }
 
 }  // namespace prcost

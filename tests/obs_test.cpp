@@ -13,6 +13,9 @@
 #include <utility>
 #include <vector>
 
+#include "bitstream/bitstream_cache.hpp"
+#include "cost/plan_cache.hpp"
+#include "device/device_db.hpp"
 #include "obs/obs.hpp"
 #include "util/parallel.hpp"
 
@@ -260,6 +263,45 @@ TEST(ObsMetrics, JsonExportParses) {
 }
 
 // --- quantiles -------------------------------------------------------------
+
+TEST(ObsMetrics, ShardedCachesCountIndependently) {
+  // The plan and bitstream caches share one table template; each must
+  // still drive its own counters.
+  obs::set_metrics_enabled(true);
+  plan_cache_clear();
+  bitstream_cache_clear();
+  const auto value = [](const char* name) {
+    return obs::registry().counter(name).value();
+  };
+  const u64 plan_hits = value("plan_cache.hits");
+  const u64 plan_misses = value("plan_cache.misses");
+  const u64 bits_hits = value("bitstream_cache.hits");
+  const u64 bits_misses = value("bitstream_cache.misses");
+
+  const Device& device = DeviceDb::instance().all().front();
+  PrmRequirements req;
+  req.lut_ff_pairs = 600;
+  req.luts = 400;
+  req.ffs = 300;
+  req.brams = 2;
+  const auto plan = find_prr_cached(req, device.fabric, SearchOptions{});
+  ASSERT_TRUE(plan.has_value());
+  EXPECT_TRUE(find_prr_cached(req, device.fabric, SearchOptions{}));
+  EXPECT_EQ(value("plan_cache.misses") - plan_misses, 1u);
+  EXPECT_EQ(value("plan_cache.hits") - plan_hits, 1u);
+  EXPECT_EQ(value("bitstream_cache.misses"), bits_misses);
+  EXPECT_EQ(value("bitstream_cache.hits"), bits_hits);
+
+  generate_bitstream_cached(*plan, device.fabric.family());
+  generate_bitstream_cached(*plan, device.fabric.family());
+  EXPECT_EQ(value("bitstream_cache.misses") - bits_misses, 1u);
+  EXPECT_EQ(value("bitstream_cache.hits") - bits_hits, 1u);
+  EXPECT_EQ(value("plan_cache.misses") - plan_misses, 1u);
+  EXPECT_EQ(value("plan_cache.hits") - plan_hits, 1u);
+  obs::set_metrics_enabled(false);
+  plan_cache_clear();
+  bitstream_cache_clear();
+}
 
 TEST(ObsQuantile, InterpolatesExactlyOnUniformData) {
   // 1..100 uniformly into {10, 50, 100}: the linear interpolation inside
