@@ -112,11 +112,20 @@ class Parser {
     }
   }
 
+  /// Enter one container level; past kJsonMaxDepth the input is rejected
+  /// before recursion can exhaust the stack.
+  void descend() {
+    if (++depth_ > kJsonMaxDepth) {
+      fail("nesting deeper than " + std::to_string(kJsonMaxDepth));
+    }
+  }
+
   Json parse_object() {
+    descend();
     expect('{');
     Json object = Json::object();
     skip_ws();
-    if (peek() == '}') { ++pos_; return object; }
+    if (peek() == '}') { ++pos_; --depth_; return object; }
     while (true) {
       skip_ws();
       std::string key = parse_string();
@@ -126,20 +135,23 @@ class Parser {
       skip_ws();
       if (peek() == ',') { ++pos_; continue; }
       expect('}');
+      --depth_;
       return object;
     }
   }
 
   Json parse_array() {
+    descend();
     expect('[');
     Json array = Json::array();
     skip_ws();
-    if (peek() == ']') { ++pos_; return array; }
+    if (peek() == ']') { ++pos_; --depth_; return array; }
     while (true) {
       array.push_back(parse_value());
       skip_ws();
       if (peek() == ',') { ++pos_; continue; }
       expect(']');
+      --depth_;
       return array;
     }
   }
@@ -229,6 +241,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  ///< open containers around pos_
 };
 
 void dump_to(const Json& value, std::string& out);

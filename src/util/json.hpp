@@ -17,6 +17,11 @@
 
 namespace prcost {
 
+/// Deepest array/object nesting Json::parse accepts. Fixed, not an
+/// option: it bounds the parser's recursion so a hostile line cannot
+/// exhaust the stack.
+inline constexpr std::size_t kJsonMaxDepth = 256;
+
 /// One JSON value: null, bool, integer, double, string, array, or object.
 /// Integers are kept separately from doubles so u64 counts (bitstream
 /// bytes, cell totals) round-trip exactly.
@@ -74,7 +79,8 @@ class Json {
   std::string dump() const;
 
   /// Parse a complete JSON document; throws ParseError with a byte offset
-  /// on malformed input or trailing garbage.
+  /// on malformed input, trailing garbage, or arrays/objects nested more
+  /// than kJsonMaxDepth deep.
   static Json parse(std::string_view text);
 
  private:

@@ -96,6 +96,22 @@ TEST(Serve, MalformedLineAnswersParseErrorAndConnectionStaysUp) {
   EXPECT_TRUE(pong.find("result")->find("pong")->as_bool());
 }
 
+TEST(Serve, OverDeepLineAnswersParseErrorAndDaemonKeepsServing) {
+  // 100 000 nested arrays would exhaust the parser's stack without its
+  // fixed depth bound; the daemon must answer "parse" and keep serving.
+  ServeHarness harness{unix_options()};
+  serve::Client client = harness.connect();
+  const std::string deep =
+      std::string(100000, '[') + std::string(100000, ']');
+  const std::string response = client.request(deep);
+  EXPECT_EQ(error_code_of(response), "parse");
+  EXPECT_NE(response.find("nesting deeper than 256"), std::string::npos);
+  const Json pong = Json::parse(client.request(R"({"op":"ping"})"));
+  EXPECT_TRUE(pong.find("result")->find("pong")->as_bool());
+  serve::Client other = harness.connect();
+  EXPECT_EQ(error_code_of(other.request(R"({"op":"ping"})")), "");
+}
+
 TEST(Serve, PipelinedResponsesPreserveInputOrder) {
   ServeHarness harness{unix_options()};
   serve::Client client = harness.connect();

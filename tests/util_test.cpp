@@ -7,6 +7,7 @@
 #include "util/csv.hpp"
 #include "util/error.hpp"
 #include "util/ints.hpp"
+#include "util/json.hpp"
 #include "util/lines.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
@@ -329,6 +330,32 @@ TEST(LineSplitter, ReclaimsConsumedPrefixOnLargeStreams) {
     EXPECT_EQ(splitter.next_line(), "line-" + std::to_string(round));
   }
   EXPECT_EQ(splitter.buffered(), 0u);
+}
+
+TEST(JsonParse, NestingIsBoundedByTheFixedDepth) {
+  const auto nested = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  EXPECT_NO_THROW(Json::parse(nested(kJsonMaxDepth)));
+  EXPECT_THROW(Json::parse(nested(kJsonMaxDepth + 1)), ParseError);
+  // Deep enough to overflow the stack of an unbounded recursive parser.
+  EXPECT_THROW(Json::parse(nested(100000)), ParseError);
+  std::string objects;
+  for (std::size_t i = 0; i <= kJsonMaxDepth; ++i) objects += R"({"a":)";
+  objects += "null" + std::string(kJsonMaxDepth + 1, '}');
+  try {
+    Json::parse(objects);
+    FAIL() << "over-deep objects parsed";
+  } catch (const ParseError& e) {
+    EXPECT_NE(std::string{e.what()}.find("nesting deeper than 256"),
+              std::string::npos)
+        << e.what();
+  }
+  // Siblings do not accumulate depth.
+  std::string wide = "[";
+  for (std::size_t i = 0; i < 2 * kJsonMaxDepth; ++i) wide += "[[]],";
+  wide += "[]]";
+  EXPECT_NO_THROW(Json::parse(wide));
 }
 
 }  // namespace

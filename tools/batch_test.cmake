@@ -1,6 +1,6 @@
-# End-to-end check of `prcost batch`: feed a 102-request JSONL mix of
-# valid, infeasible, unknown-name, malformed, and fault-injection lines
-# and assert the contract - exit 0, exactly one well-formed JSON response
+# End-to-end check of `prcost batch`: feed a 104-request JSONL mix of
+# valid, infeasible, unknown-name, malformed, fault-injection and
+# over-deep lines and assert the contract - exit 0, exactly one well-formed JSON response
 # per input line, in input order, with the documented stable error codes.
 #
 # Usage: cmake -DCLI=<prcost> -DWORK=<dir> -P batch_test.cmake
@@ -38,6 +38,12 @@ string(APPEND body
 string(APPEND body
   "{\"op\":\"faults\",\"device\":\"xc5vlx110t\",\"prms\":[\"fir\"],"
   "\"tasks\":10,\"fault_rate\":1.0,\"strict\":true,\"id\":101}\n")
+# 100 000 nested arrays: past the parser's fixed depth bound the line is
+# a "parse" error (not a stack overflow), and the next line still runs.
+string(REPEAT "[" 100000 deep_open)
+string(REPEAT "]" 100000 deep_close)
+string(APPEND body "${deep_open}${deep_close}\n")
+string(APPEND body "{\"op\":\"synth\",\"prm\":\"uart\",\"id\":103}\n")
 file(WRITE "${requests}" "${body}")
 
 execute_process(COMMAND ${CLI} batch "${requests}" -o "${responses}"
@@ -45,14 +51,14 @@ execute_process(COMMAND ${CLI} batch "${requests}" -o "${responses}"
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "batch exited ${rc} (want 0): ${err}")
 endif()
-if(NOT err MATCHES "batch: 102 requests, 41 ok, 61 failed")
+if(NOT err MATCHES "batch: 104 requests, 42 ok, 62 failed")
   message(FATAL_ERROR "unexpected tally on stderr: ${err}")
 endif()
 
 file(STRINGS "${responses}" lines)
 list(LENGTH lines count)
-if(NOT count EQUAL 102)
-  message(FATAL_ERROR "want 102 response lines, got ${count}")
+if(NOT count EQUAL 104)
+  message(FATAL_ERROR "want 104 response lines, got ${count}")
 endif()
 
 set(i 0)
@@ -71,6 +77,21 @@ foreach(line IN LISTS lines)
     if(NOT line MATCHES "\"id\":100[,}]" OR NOT line MATCHES "\"result\":"
        OR NOT line MATCHES "\"dropped_tasks\":10")
       message(FATAL_ERROR "line ${i}: want graceful fault result: ${line}")
+    endif()
+    math(EXPR i "${i} + 1")
+    continue()
+  endif()
+  if(i EQUAL 102)
+    if(NOT line MATCHES "\"error\":\\{\"code\":\"parse\""
+       OR NOT line MATCHES "nesting deeper than 256")
+      message(FATAL_ERROR "line ${i}: want depth parse error: ${line}")
+    endif()
+    math(EXPR i "${i} + 1")
+    continue()
+  endif()
+  if(i EQUAL 103)
+    if(NOT line MATCHES "\"id\":103[,}]" OR NOT line MATCHES "\"result\":")
+      message(FATAL_ERROR "line ${i}: want the line after the deep one: ${line}")
     endif()
     math(EXPR i "${i} + 1")
     continue()
@@ -112,4 +133,4 @@ foreach(line IN LISTS lines)
   math(EXPR i "${i} + 1")
 endforeach()
 
-message(STATUS "batch contract holds over 102 mixed requests")
+message(STATUS "batch contract holds over 104 mixed requests")
