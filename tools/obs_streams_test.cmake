@@ -71,4 +71,30 @@ if(out MATCHES "stats")
   message(FATAL_ERROR "stats leaked into stats-off batch output: ${out}")
 endif()
 
+# Batch with an obs flag: the end-of-run summary goes to stderr, so stdout
+# stays one JSON object per line.
+execute_process(COMMAND ${CLI} batch ${WORK}/obs_streams_batch.jsonl
+                --metrics-out ${WORK}/obs_streams_metrics.json
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+expect_rc(${rc} 0 "batch --metrics-out <file>")
+if(out MATCHES "=== metrics ===")
+  message(FATAL_ERROR "batch metrics summary leaked to stdout: ${out}")
+endif()
+if(NOT err MATCHES "=== metrics ===")
+  message(FATAL_ERROR "batch metrics summary missing from stderr: ${err}")
+endif()
+string(STRIP "${out}" out)
+string(REPLACE "\n" ";" out_lines "${out}")
+foreach(line IN LISTS out_lines)
+  if(NOT line MATCHES "^\\{.*\\}$")
+    message(FATAL_ERROR "batch stdout line is not a JSON object: ${line}")
+  endif()
+  if(NOT CMAKE_VERSION VERSION_LESS 3.19)
+    string(JSON root_type ERROR_VARIABLE json_err TYPE "${line}")
+    if(json_err OR NOT root_type STREQUAL "OBJECT")
+      message(FATAL_ERROR "batch stdout line is not JSON: ${line}")
+    endif()
+  endif()
+endforeach()
+
 message(STATUS "observability stream routing holds")

@@ -798,9 +798,10 @@ bool write_obs_artifact(const std::string& path, const char* what,
   return true;
 }
 
-/// Write the requested artifacts and print the end-of-run summary.
-/// Returns nonzero if an output file could not be written.
-int finalize_obs(const ObsOptions& options) {
+/// Write the requested artifacts and print the end-of-run summary on
+/// `summary` (stderr for the JSONL commands, whose stdout is one response
+/// per line). Returns nonzero if an output file could not be written.
+int finalize_obs(const ObsOptions& options, std::ostream& summary) {
   if (!options.active()) return 0;
   int rc = 0;
   const bool traced = options.traced();
@@ -827,7 +828,7 @@ int finalize_obs(const ObsOptions& options) {
     rc = 1;
   }
 
-  std::cout << "\n=== metrics ===\n";
+  summary << "\n=== metrics ===\n";
   TextTable metrics{{"metric", "value"}};
   for (const auto& snap : obs::registry().snapshot()) {
     switch (snap.kind) {
@@ -843,16 +844,16 @@ int finalize_obs(const ObsOptions& options) {
         break;
     }
   }
-  std::cout << metrics.to_ascii();
+  summary << metrics.to_ascii();
   if (traced) {
-    std::cout << "\n=== span self-time";
+    summary << "\n=== span self-time";
     if (!options.trace_out.empty()) {
-      std::cout << " (open " << options.trace_out
+      summary << " (open " << options.trace_out
                 << " at https://ui.perfetto.dev)";
     }
-    std::cout << " ===\n" << obs::trace_summary_table().to_ascii();
+    summary << " ===\n" << obs::trace_summary_table().to_ascii();
     if (obs::trace_dropped_count() > 0) {
-      std::cout << "note: " << obs::trace_dropped_count()
+      summary << "note: " << obs::trace_dropped_count()
                 << " spans dropped (per-thread ring wrapped)\n";
     }
   }
@@ -915,7 +916,10 @@ int main(int argc, char** argv) {
       throw UsageError{"unknown command '" + command + "'"};
     }
     if (rc == 0) engine.save_caches();
-    const int obs_rc = finalize_obs(obs_options);
+    const bool jsonl = command == "batch" || command == "serve" ||
+                       command == "client";
+    const int obs_rc =
+        finalize_obs(obs_options, jsonl ? std::cerr : std::cout);
     return rc != 0 ? rc : obs_rc;
   } catch (const UsageError& error) {
     std::cerr << "error: " << error.what() << "\n\n";
