@@ -446,6 +446,36 @@ FaultsResponse Engine::faults(const FaultsRequest& request) const {
   return response;
 }
 
+std::vector<sched::Task> schedule_arrivals(const ScheduleRequest& request) {
+  if (request.workload == "trace") {
+    if (request.trace.empty()) {
+      throw UsageError{"schedule workload 'trace' needs trace text"};
+    }
+    std::vector<sched::Task> tasks = sched::parse_trace(request.trace);
+    for (const sched::Task& task : tasks) {
+      if (task.prm >= request.prms.size()) {
+        throw UsageError{"trace task '" + task.name +
+                         "' references unknown PRM index " +
+                         std::to_string(task.prm)};
+      }
+    }
+    return tasks;
+  }
+  if (request.workload != "poisson" && request.workload != "bursty") {
+    throw UsageError{"unknown workload '" + request.workload +
+                     "' (known: poisson bursty trace)"};
+  }
+  sched::ArrivalParams params;
+  params.count = request.tasks;
+  params.prm_count = narrow<u32>(request.prms.size());
+  params.mean_interarrival_s = request.mean_interarrival_s;
+  params.mean_exec_s = request.mean_exec_s;
+  params.deadline_factor = request.deadline_factor;
+  params.seed = request.seed;
+  return request.workload == "poisson" ? sched::make_poisson(params)
+                                       : sched::make_bursty(params);
+}
+
 ScheduleResponse Engine::schedule(const ScheduleRequest& request) const {
   const obs::RequestScope scope{options_.collect_stats};
   if (request.prms.empty()) {
@@ -503,33 +533,7 @@ ScheduleResponse Engine::schedule(const ScheduleRequest& request) const {
   }
   check_deadline("schedule.plan");
 
-  std::vector<sched::Task> tasks;
-  if (request.workload == "trace") {
-    if (request.trace.empty()) {
-      throw UsageError{"schedule workload 'trace' needs trace text"};
-    }
-    tasks = sched::parse_trace(request.trace);
-    for (const sched::Task& task : tasks) {
-      if (task.prm >= prms.size()) {
-        throw UsageError{"trace task '" + task.name +
-                         "' references unknown PRM index " +
-                         std::to_string(task.prm)};
-      }
-    }
-  } else if (request.workload == "poisson" || request.workload == "bursty") {
-    sched::ArrivalParams params;
-    params.count = request.tasks;
-    params.prm_count = narrow<u32>(prms.size());
-    params.mean_interarrival_s = request.mean_interarrival_s;
-    params.mean_exec_s = request.mean_exec_s;
-    params.deadline_factor = request.deadline_factor;
-    params.seed = request.seed;
-    tasks = request.workload == "poisson" ? sched::make_poisson(params)
-                                          : sched::make_bursty(params);
-  } else {
-    throw UsageError{"unknown workload '" + request.workload +
-                     "' (known: poisson bursty trace)"};
-  }
+  std::vector<sched::Task> tasks = schedule_arrivals(request);
 
   sched::SchedulerConfig config;
   config.slot_count = placed;

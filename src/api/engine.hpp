@@ -19,8 +19,14 @@
 #include "api/requests.hpp"
 #include "device/device_db.hpp"
 #include "obs/metrics.hpp"
+#include "sched/scheduler.hpp"
 
 namespace prcost::api {
+
+/// The arrival stream a schedule request runs: its synthetic workload, or
+/// its replayed trace checked against its PRM list. Throws UsageError for
+/// an unknown workload or a trace task naming a missing PRM.
+std::vector<sched::Task> schedule_arrivals(const ScheduleRequest& request);
 
 class Engine {
  public:

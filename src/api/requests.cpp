@@ -1,7 +1,13 @@
 #include "api/requests.hpp"
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <type_traits>
+
 #include "netlist/generators.hpp"
 #include "util/error.hpp"
+#include "util/strings.hpp"
 
 namespace prcost::api {
 namespace {
@@ -14,49 +20,6 @@ std::string prm_name_list() {
     out += name;
   }
   return out;
-}
-
-std::string get_string(const Json& j, std::string_view key,
-                       const std::string& fallback = {}) {
-  const Json* member = j.find(key);
-  return member == nullptr ? fallback : member->as_string();
-}
-
-u64 get_u64(const Json& j, std::string_view key, u64 fallback) {
-  const Json* member = j.find(key);
-  return member == nullptr ? fallback : member->as_u64();
-}
-
-bool get_bool(const Json& j, std::string_view key, bool fallback) {
-  const Json* member = j.find(key);
-  return member == nullptr ? fallback : member->as_bool();
-}
-
-double get_double(const Json& j, std::string_view key, double fallback) {
-  const Json* member = j.find(key);
-  return member == nullptr ? fallback : member->as_double();
-}
-
-PrmSource source_from_json(const Json& j) {
-  PrmSource source;
-  source.prm = get_string(j, "prm");
-  source.netlist_path = get_string(j, "netlist");
-  source.report_path = get_string(j, "report");
-  return source;
-}
-
-std::vector<std::string> prms_from_json(const Json& j) {
-  const Json* member = j.find("prms");
-  if (member == nullptr) return {};
-  std::vector<std::string> prms;
-  for (const Json& name : member->as_array()) prms.push_back(name.as_string());
-  return prms;
-}
-
-void set_source(Json& j, const PrmSource& source) {
-  if (!source.prm.empty()) j.set("prm", source.prm);
-  if (!source.netlist_path.empty()) j.set("netlist", source.netlist_path);
-  if (!source.report_path.empty()) j.set("report", source.report_path);
 }
 
 Json prms_to_json(const std::vector<std::string>& prms) {
@@ -144,141 +107,389 @@ const std::vector<std::string>& builtin_prm_names() {
   return names;
 }
 
-SearchObjective parse_objective(const std::string& name) {
-  if (name == "area") return SearchObjective::kMinArea;
-  if (name == "height") return SearchObjective::kFirstFeasible;
-  if (name == "bitstream") return SearchObjective::kMinBitstream;
-  throw UsageError{"unknown objective '" + name + "'"};
+// --------------------------------------------------------- field tables --
+//
+// Each request field is declared once, as a row of its op's table below:
+// f(wire name, member, doc[, bounds[, CLI flag]]). Decoding, encoding, the
+// CLI flags and the usage text visit these rows; defaults are only the
+// request structs' member initializers.
+
+namespace {
+
+/// Range a numeric field accepts; integers must also fit their member.
+struct Bounds {
+  double min = 0;
+  double max = std::numeric_limits<double>::infinity();
+};
+
+constexpr Bounds kRate{0, 1};
+constexpr Bounds kTasks{0, 1e6};
+constexpr Bounds kRetries{0, 100};
+constexpr Bounds kPool{0, 1024};
+
+/// CLI flag markers. Any other non-empty flag replaces the one derived
+/// from the wire name ('_' -> '-').
+constexpr std::string_view kWireOnly = "-";
+constexpr std::string_view kPositional = "<>";
+
+void fields(SynthRequest& r, const auto& f) {
+  f("prm", r.source.prm, "built-in PRM name", {}, kPositional);
+  f("netlist", r.source.netlist_path, ".net netlist to synthesize", {},
+    kWireOnly);
+  f("report", r.source.report_path, ".srp synthesis report", {}, kWireOnly);
+  f("family", r.family, "device family: v4, v5, v6, s7 or s6");
 }
 
-std::string_view objective_name(SearchObjective objective) {
-  switch (objective) {
-    case SearchObjective::kMinArea:       return "area";
-    case SearchObjective::kFirstFeasible: return "height";
-    case SearchObjective::kMinBitstream:  return "bitstream";
+void fields(PlanRequest& r, const auto& f) {
+  f("device", r.device, "part name (shorthands accepted)");
+  f("prm", r.source.prm, "built-in PRM name", {}, kPositional);
+  f("netlist", r.source.netlist_path, ".net netlist to synthesize");
+  f("report", r.source.report_path, ".srp synthesis report (no PAR)");
+  f("objective", r.objective,
+    "PRR search objective: area, height or bitstream");
+  f("shaped", r.shaped, "also evaluate an L-shaped PRR");
+  f("cross_check", r.cross_check,
+    "run the PAR and generated-bitstream cross-checks", {}, kWireOnly);
+}
+
+void fields(BitstreamRequest& r, const auto& f) {
+  f("device", r.device, "part name (shorthands accepted)");
+  f("prm", r.source.prm, "built-in PRM name", {}, kPositional);
+  f("netlist", r.source.netlist_path, ".net netlist to synthesize");
+  f("report", r.source.report_path, ".srp synthesis report (no PAR)");
+}
+
+void fields(ExploreRequest& r, const auto& f) {
+  f("device", r.device, "part name (shorthands accepted)");
+  f("prms", r.prms, "built-in PRM names", {}, kPositional);
+  f("workers", r.workers, "parallel width (0 = engine default)");
+  f("max_groups", r.max_groups, "PRR count cap (0 = one per PRM)",
+    Bounds{0, 64}, kWireOnly);
+  f("tasks", r.tasks, "synthetic task count", kTasks, kWireOnly);
+  f("seed", r.seed, "workload seed", {}, kWireOnly);
+  f("cross_check", r.cross_check,
+    "generate the Pareto-front bitstreams, check Eq. 18");
+}
+
+void fields(RankRequest& r, const auto& f) {
+  f("prms", r.prms, "built-in PRM names", {}, kPositional);
+  f("workers", r.workers, "parallel width (0 = engine default)");
+  f("tasks", r.tasks, "synthetic task count", kTasks, kWireOnly);
+  f("seed", r.seed, "workload seed", {}, kWireOnly);
+}
+
+void fields(FaultsRequest& r, const auto& f) {
+  f("device", r.device, "part name (shorthands accepted)");
+  f("prms", r.prms, "built-in PRM names", {}, kPositional);
+  f("prr_count", r.prr_count, "PRR pool size", Bounds{1, 1024}, "prrs");
+  f("tasks", r.tasks, "synthetic task count", kTasks);
+  f("seed", r.seed, "workload seed");
+  f("fault_rate", r.fault_rate, "probability a transfer is corrupted", kRate);
+  f("stall_rate", r.stall_rate, "media stall probability", kRate);
+  f("fault_seed", r.fault_seed, "fault injector seed");
+  f("max_retries", r.max_retries, "verified-transfer retry budget", kRetries);
+  f("media", r.media, "bitstream storage media: cf, flash, ddr or bram");
+  f("recovery", r.recovery, "a failed task's fate: drop or reschedule");
+  f("strict", r.strict, "fail the request if a task is dropped");
+}
+
+void fields(OptimizeRequest& r, const auto& f) {
+  f("device", r.device, "part name (shorthands accepted)");
+  f("prms", r.prms, "built-in PRM names", {}, kPositional);
+  f("prm_count", r.prm_count, "synthetic fleet size (when no prms)",
+    Bounds{0, 10000});
+  f("groups", r.groups, "shared PRRs (0 = auto)", Bounds{0, 10000});
+  f("seed", r.seed, "fleet and annealer seed");
+  f("rounds", r.rounds, "annealing rounds", Bounds{0, 100000});
+  f("proposals_per_round", r.proposals_per_round,
+    "speculative proposals per round", kPool, "proposals");
+  f("media", r.media, "bitstream storage media: cf, flash, ddr or bram");
+  f("fault_rate", r.fault_rate, "probability a transfer is corrupted", kRate);
+  f("max_retries", r.max_retries, "verified-transfer retry budget", kRetries);
+  f("workers", r.workers, "parallel width (0 = engine default)");
+}
+
+void fields(ScheduleRequest& r, const auto& f) {
+  f("device", r.device, "part name (shorthands accepted)");
+  f("prms", r.prms, "built-in PRM names", {}, kPositional);
+  f("slots", r.slots, "PRR slots the floorplanner places", Bounds{1, 1024});
+  f("policy", r.policy, "fcfs, priority or edf");
+  f("workload", r.workload, "arrivals: poisson, bursty or trace");
+  f("trace", r.trace, "JSONL arrival trace (workload trace)", {}, kWireOnly);
+  f("tasks", r.tasks, "synthetic task count", kTasks);
+  f("seed", r.seed, "workload seed");
+  f("mean_interarrival_s", r.mean_interarrival_s, "mean inter-arrival time (s)",
+    {}, "interarrival");
+  f("mean_exec_s", r.mean_exec_s, "mean execution time (s)", {}, "exec");
+  f("deadline_factor", r.deadline_factor,
+    "relative deadline factor (0 = none)");
+  f("media", r.media, "bitstream storage media: cf, flash, ddr or bram");
+  f("warm_media", r.warm_media, "media of prefetched bitstreams");
+  f("prefetch_rate_hz", r.prefetch_rate_hz,
+    "prefetch at this EWMA arrival rate, Hz (0 = off)", {}, "prefetch-rate");
+  f("fault_rate", r.fault_rate, "probability a transfer is corrupted", kRate);
+  f("max_retries", r.max_retries, "verified-transfer retry budget", kRetries);
+  f("cpu_workers", r.cpu_workers, "CPU-fallback pool (0 = no fallback)", kPool);
+  f("cpu_slowdown", r.cpu_slowdown, "software / hardware execution-time ratio");
+  f("detail", r.detail, "include per-task outcomes", {}, kWireOnly);
+}
+
+/// Adapts a visitor of all five row columns to the rows' defaults.
+template <typename F>
+struct Visit {
+  F f;
+  void operator()(std::string_view wire, auto& member, std::string_view doc,
+                  const Bounds& bounds = {},
+                  std::string_view flag = {}) const {
+    f(wire, member, doc, bounds, flag);
   }
-  return "area";
+};
+
+/// Members any request line may carry besides its op's fields.
+constexpr std::string_view kEnvelope[] = {"op", "id", "deadline_ms"};
+
+std::string number_text(double v) {
+  return v == std::floor(v) && std::abs(v) < 1e15
+             ? std::to_string(static_cast<long long>(v))
+             : Json{v}.dump();
 }
 
-SynthRequest synth_request_from_json(const Json& j) {
-  SynthRequest request;
-  request.source = source_from_json(j);
-  request.family = parse_family(get_string(j, "family", "v5"));
+std::string bounds_text(const Bounds& b) {
+  return std::isinf(b.max) ? ">= " + number_text(b.min)
+                           : number_text(b.min) + ".." + number_text(b.max);
+}
+
+/// Throws ParseError naming the bound when `v` is outside `b` or above
+/// its member type's maximum.
+void check_bounds(double v, Bounds b, double type_max) {
+  b.max = std::min(b.max, type_max);
+  if (v < b.min || v > b.max) {
+    throw ParseError{number_text(v) + " is not " +
+                     (std::isinf(b.max) ? "" : "in ") + bounds_text(b)};
+  }
+}
+
+template <typename T>
+constexpr bool kOptional = false;
+template <typename T>
+constexpr bool kOptional<std::optional<T>> = true;
+using Names = std::vector<std::string>;
+
+template <typename T>
+constexpr std::string_view type_name() {
+  if constexpr (kOptional<T>) return type_name<typename T::value_type>();
+  if constexpr (std::is_same_v<T, bool>) return "bool";
+  if constexpr (std::is_integral_v<T>) return "integer";
+  if constexpr (std::is_floating_point_v<T>) return "number";
+  if constexpr (std::is_same_v<T, Names>) return "strings";
+  return "string";
+}
+
+constexpr std::pair<std::string_view, SearchObjective> kObjectives[] = {
+    {"area", SearchObjective::kMinArea},
+    {"height", SearchObjective::kFirstFeasible},
+    {"bitstream", SearchObjective::kMinBitstream}};
+
+/// Type- and bounds-checked read of one member; ParseError on failure.
+template <typename T>
+void read_value(T& v, const Json& j, const Bounds& b) {
+  if constexpr (kOptional<T>) {
+    read_value(v.emplace(), j, b);
+  } else if constexpr (std::is_same_v<T, bool>) {
+    v = j.as_bool();
+  } else if constexpr (std::is_integral_v<T>) {
+    const u64 n = j.as_u64();
+    check_bounds(static_cast<double>(n), b,
+                 static_cast<double>(std::numeric_limits<T>::max()));
+    v = static_cast<T>(n);
+  } else if constexpr (std::is_floating_point_v<T>) {
+    v = j.as_double();
+    check_bounds(v, b, b.max);
+  } else if constexpr (std::is_same_v<T, Names>) {
+    v.clear();
+    for (const Json& name : j.as_array()) v.push_back(name.as_string());
+  } else if constexpr (std::is_same_v<T, SearchObjective>) {
+    using Entry = std::pair<std::string_view, T>;
+    const auto it =
+        std::ranges::find(kObjectives, j.as_string(), &Entry::first);
+    if (it == std::end(kObjectives)) {
+      throw UsageError{"unknown objective '" + j.as_string() + "'"};
+    }
+    v = it->second;
+  } else if constexpr (std::is_same_v<T, Family>) {
+    v = parse_family(j.as_string());
+  } else {
+    v = j.as_string();
+  }
+}
+
+template <typename T>
+Json write_value(const T& v) {
+  if constexpr (kOptional<T>) {
+    return v ? write_value(*v) : Json{};
+  } else if constexpr (std::is_same_v<T, Names>) {
+    return prms_to_json(v);
+  } else if constexpr (std::is_same_v<T, SearchObjective>) {
+    using Entry = std::pair<std::string_view, T>;
+    return std::ranges::find(kObjectives, v, &Entry::second)->first;
+  } else if constexpr (std::is_same_v<T, Family>) {
+    return family_name(v);
+  } else {
+    return v;
+  }
+}
+
+template <typename R>
+R decode(const Json& j) {
+  R request;
+  std::size_t known = 0;
+  for (const std::string_view key : kEnvelope) known += j.find(key) != nullptr;
+  fields(request, Visit{[&](auto wire, auto& member, auto, auto& b, auto) {
+           if (const Json* value = j.find(wire)) {
+             try {
+               read_value(member, *value, b);
+             } catch (const ParseError& error) {
+               throw UsageError{std::string{wire} + ": " + error.what()};
+             }
+             ++known;
+           }
+         }});
+  if (known == j.as_object().size()) return request;
+  // Some member is neither a field nor an envelope key: name it.
+  std::vector<std::string_view> names{std::begin(kEnvelope),
+                                      std::end(kEnvelope)};
+  fields(request, Visit{[&](auto wire, auto&...) { names.push_back(wire); }});
+  for (const auto& [key, value] : j.as_object()) {
+    if (std::ranges::find(names, key) != names.end()) continue;
+    const std::string near{closest_match(key, names)};
+    throw UsageError{"unknown field '" + key + "'" +
+                     (near.empty() ? "" : " (did you mean '" + near + "'?)")};
+  }
   return request;
 }
 
-PlanRequest plan_request_from_json(const Json& j) {
-  PlanRequest request;
-  request.device = get_string(j, "device");
-  request.source = source_from_json(j);
-  request.objective = parse_objective(get_string(j, "objective", "area"));
-  request.shaped = get_bool(j, "shaped", false);
-  request.cross_check = get_bool(j, "cross_check", true);
+/// A request line, decoded into whichever request type it converts to.
+struct Wire {
+  const Json& j;
+  template <typename R>
+  operator R() const {
+    return decode<R>(j);
+  }
+};
+
+/// Writes every field but the unset optionals.
+template <typename R>
+Json encode(R request, std::string_view op) {
+  Json j = Json::object();
+  j.set("op", op);
+  fields(request, Visit{[&](auto wire, auto& member, auto...) {
+           Json value = write_value(member);
+           if (!value.is_null()) j.set(std::string{wire}, std::move(value));
+         }});
+  return j;
+}
+
+std::string flag_name(std::string_view wire, std::string_view flag) {
+  std::string name{flag.empty() ? wire : flag};
+  std::ranges::replace(name, '_', '-');
+  return name;
+}
+
+template <typename R>
+std::vector<FieldInfo> field_infos() {
+  R defaults;
+  std::vector<FieldInfo> infos;
+  fields(defaults, Visit{[&](auto wire, auto& member, auto doc, auto& bounds,
+                             auto flag) {
+           const std::string_view type =
+               type_name<std::remove_cvref_t<decltype(member)>>();
+           FieldInfo& info = infos.emplace_back(FieldInfo{
+               wire, "", type, write_value(member).dump(), "", doc});
+           if (flag == kPositional) {
+             info.flag = "<" + std::string{wire} + ">";
+           } else if (flag != kWireOnly) {
+             info.flag = "--" + flag_name(wire, flag) +
+                         (type == "bool"      ? ""
+                          : type == "integer" ? " N"
+                          : type == "number"  ? " X"
+                                              : " NAME");
+           }
+           if (type == "number" || !std::isinf(bounds.max)) {
+             info.bounds = bounds_text(bounds);
+           }
+         }});
+  return infos;
+}
+
+}  // namespace
+
+template <typename Request>
+Request request_from_cli(const CliArgs& args) {
+  Request request;
+  fields(request, Visit{[&](auto wire, auto& member, auto, auto& bounds,
+                            auto flag) {
+           const std::string_view type =
+               type_name<std::remove_cvref_t<decltype(member)>>();
+           const std::string name = flag_name(wire, flag);
+           if (flag == kPositional && !args.positional.empty()) {
+             const Json names = prms_to_json(args.positional);
+             read_value(member, type == "strings" ? names : names.as_array()[0],
+                        bounds);
+           } else if (flag != kWireOnly && args.has(name)) {
+             const std::string text = args.get(name);
+             try {
+               read_value(member,
+                          type == "bool"      ? Json{true}
+                          : type == "integer" ? Json{u64{parse_u64(text)}}
+                          : type == "number"  ? Json{parse_double(text)}
+                                              : Json{text},
+                          bounds);
+             } catch (const ParseError& error) {
+               throw UsageError{"--" + name + ": " + error.what()};
+             }
+           }
+         }});
   return request;
 }
 
-BitstreamRequest bitstream_request_from_json(const Json& j) {
-  BitstreamRequest request;
-  request.device = get_string(j, "device");
-  request.source = source_from_json(j);
-  return request;
+template SynthRequest request_from_cli(const CliArgs&);
+template PlanRequest request_from_cli(const CliArgs&);
+template BitstreamRequest request_from_cli(const CliArgs&);
+template ExploreRequest request_from_cli(const CliArgs&);
+template RankRequest request_from_cli(const CliArgs&);
+template FaultsRequest request_from_cli(const CliArgs&);
+template OptimizeRequest request_from_cli(const CliArgs&);
+template ScheduleRequest request_from_cli(const CliArgs&);
+
+std::vector<FieldInfo> request_fields(std::string_view op) {
+  if (op == "synth") return field_infos<SynthRequest>();
+  if (op == "plan") return field_infos<PlanRequest>();
+  if (op == "bitstream") return field_infos<BitstreamRequest>();
+  if (op == "explore") return field_infos<ExploreRequest>();
+  if (op == "rank") return field_infos<RankRequest>();
+  if (op == "faults") return field_infos<FaultsRequest>();
+  if (op == "optimize") return field_infos<OptimizeRequest>();
+  if (op == "schedule") return field_infos<ScheduleRequest>();
+  return {};
 }
 
-ExploreRequest explore_request_from_json(const Json& j) {
-  ExploreRequest request;
-  request.device = get_string(j, "device");
-  request.prms = prms_from_json(j);
-  request.workers = get_u64(j, "workers", 0);
-  request.max_groups = narrow<u32>(get_u64(j, "max_groups", 0));
-  request.tasks = narrow<u32>(get_u64(j, "tasks", 100));
-  request.seed = get_u64(j, "seed", 42);
-  request.cross_check = get_bool(j, "cross_check", false);
-  return request;
-}
+SynthRequest synth_request_from_json(const Json& j) { return Wire{j}; }
+PlanRequest plan_request_from_json(const Json& j) { return Wire{j}; }
+BitstreamRequest bitstream_request_from_json(const Json& j) { return Wire{j}; }
+ExploreRequest explore_request_from_json(const Json& j) { return Wire{j}; }
+RankRequest rank_request_from_json(const Json& j) { return Wire{j}; }
+FaultsRequest faults_request_from_json(const Json& j) { return Wire{j}; }
+OptimizeRequest optimize_request_from_json(const Json& j) { return Wire{j}; }
+ScheduleRequest schedule_request_from_json(const Json& j) { return Wire{j}; }
 
-RankRequest rank_request_from_json(const Json& j) {
-  RankRequest request;
-  request.prms = prms_from_json(j);
-  request.workers = get_u64(j, "workers", 0);
-  request.tasks = narrow<u32>(get_u64(j, "tasks", 100));
-  request.seed = get_u64(j, "seed", 42);
-  return request;
-}
-
-FaultsRequest faults_request_from_json(const Json& j) {
-  FaultsRequest request;
-  request.device = get_string(j, "device");
-  request.prms = prms_from_json(j);
-  request.prr_count = narrow<u32>(get_u64(j, "prr_count", 2));
-  request.tasks = narrow<u32>(get_u64(j, "tasks", 100));
-  request.seed = get_u64(j, "seed", 42);
-  if (j.find("fault_rate")) {
-    request.fault_rate = get_double(j, "fault_rate", 0.0);
-  }
-  if (j.find("stall_rate")) {
-    request.stall_rate = get_double(j, "stall_rate", 0.0);
-  }
-  if (j.find("fault_seed")) {
-    request.fault_seed = get_u64(j, "fault_seed", 0);
-  }
-  if (j.find("max_retries")) {
-    request.max_retries = narrow<u32>(get_u64(j, "max_retries", 0));
-  }
-  request.media = get_string(j, "media", "ddr");
-  request.recovery = get_string(j, "recovery", "drop");
-  request.strict = get_bool(j, "strict", false);
-  return request;
-}
-
-OptimizeRequest optimize_request_from_json(const Json& j) {
-  OptimizeRequest request;
-  request.device = get_string(j, "device");
-  request.prms = prms_from_json(j);
-  request.prm_count = narrow<u32>(get_u64(j, "prm_count", 0));
-  request.groups = narrow<u32>(get_u64(j, "groups", 0));
-  request.seed = get_u64(j, "seed", 1);
-  request.rounds = narrow<u32>(get_u64(j, "rounds", 48));
-  request.proposals_per_round =
-      narrow<u32>(get_u64(j, "proposals_per_round", 8));
-  request.media = get_string(j, "media", "ddr");
-  if (j.find("fault_rate")) {
-    request.fault_rate = get_double(j, "fault_rate", 0.0);
-  }
-  if (j.find("max_retries")) {
-    request.max_retries = narrow<u32>(get_u64(j, "max_retries", 0));
-  }
-  request.workers = get_u64(j, "workers", 0);
-  return request;
-}
-
-ScheduleRequest schedule_request_from_json(const Json& j) {
-  ScheduleRequest request;
-  request.device = get_string(j, "device");
-  request.prms = prms_from_json(j);
-  request.slots = narrow<u32>(get_u64(j, "slots", 2));
-  request.policy = get_string(j, "policy", "fcfs");
-  request.workload = get_string(j, "workload", "poisson");
-  request.trace = get_string(j, "trace", "");
-  request.tasks = narrow<u32>(get_u64(j, "tasks", 100));
-  request.seed = get_u64(j, "seed", 42);
-  request.mean_interarrival_s =
-      get_double(j, "mean_interarrival_s", 2.0e-3);
-  request.mean_exec_s = get_double(j, "mean_exec_s", 5.0e-3);
-  request.deadline_factor = get_double(j, "deadline_factor", 0.0);
-  request.media = get_string(j, "media", "flash");
-  request.warm_media = get_string(j, "warm_media", "ddr");
-  request.prefetch_rate_hz = get_double(j, "prefetch_rate_hz", 0.0);
-  if (j.find("fault_rate")) {
-    request.fault_rate = get_double(j, "fault_rate", 0.0);
-  }
-  if (j.find("max_retries")) {
-    request.max_retries = narrow<u32>(get_u64(j, "max_retries", 0));
-  }
-  request.cpu_workers = narrow<u32>(get_u64(j, "cpu_workers", 2));
-  request.cpu_slowdown = get_double(j, "cpu_slowdown", 8.0);
-  request.detail = get_bool(j, "detail", false);
-  return request;
-}
+Json to_json(const SynthRequest& r) { return encode(r, "synth"); }
+Json to_json(const PlanRequest& r) { return encode(r, "plan"); }
+Json to_json(const BitstreamRequest& r) { return encode(r, "bitstream"); }
+Json to_json(const ExploreRequest& r) { return encode(r, "explore"); }
+Json to_json(const RankRequest& r) { return encode(r, "rank"); }
+Json to_json(const FaultsRequest& r) { return encode(r, "faults"); }
+Json to_json(const OptimizeRequest& r) { return encode(r, "optimize"); }
+Json to_json(const ScheduleRequest& r) { return encode(r, "schedule"); }
 
 Json to_json(const obs::RequestStatsSummary& s) {
   const auto ms = [](u64 ns) { return static_cast<double>(ns) / 1e6; };
@@ -470,54 +681,6 @@ Json to_json(const DevicesResponse& r) {
   return j;
 }
 
-Json to_json(const SynthRequest& r) {
-  Json j = Json::object();
-  j.set("op", "synth");
-  set_source(j, r.source);
-  j.set("family", std::string{family_name(r.family)});
-  return j;
-}
-
-Json to_json(const PlanRequest& r) {
-  Json j = Json::object();
-  j.set("op", "plan").set("device", r.device);
-  set_source(j, r.source);
-  j.set("objective", std::string{objective_name(r.objective)})
-      .set("shaped", r.shaped)
-      .set("cross_check", r.cross_check);
-  return j;
-}
-
-Json to_json(const BitstreamRequest& r) {
-  Json j = Json::object();
-  j.set("op", "bitstream").set("device", r.device);
-  set_source(j, r.source);
-  return j;
-}
-
-Json to_json(const ExploreRequest& r) {
-  Json j = Json::object();
-  j.set("op", "explore")
-      .set("device", r.device)
-      .set("prms", prms_to_json(r.prms))
-      .set("workers", static_cast<u64>(r.workers))
-      .set("max_groups", r.max_groups)
-      .set("tasks", r.tasks)
-      .set("seed", r.seed)
-      .set("cross_check", r.cross_check);
-  return j;
-}
-
-Json to_json(const RankRequest& r) {
-  Json j = Json::object();
-  j.set("op", "rank")
-      .set("prms", prms_to_json(r.prms))
-      .set("workers", static_cast<u64>(r.workers))
-      .set("tasks", r.tasks)
-      .set("seed", r.seed);
-  return j;
-}
-
 Json to_json(const OptimizeResponse& r) {
   Json j = Json::object();
   j.set("device", r.device)
@@ -589,63 +752,6 @@ Json to_json(const ScheduleResponse& r) {
     j.set("tasks", std::move(tasks));
   }
   set_stats(j, r.stats);
-  return j;
-}
-
-Json to_json(const FaultsRequest& r) {
-  Json j = Json::object();
-  j.set("op", "faults")
-      .set("device", r.device)
-      .set("prms", prms_to_json(r.prms))
-      .set("prr_count", r.prr_count)
-      .set("tasks", r.tasks)
-      .set("seed", r.seed);
-  if (r.fault_rate) j.set("fault_rate", *r.fault_rate);
-  if (r.stall_rate) j.set("stall_rate", *r.stall_rate);
-  if (r.fault_seed) j.set("fault_seed", *r.fault_seed);
-  if (r.max_retries) j.set("max_retries", static_cast<u64>(*r.max_retries));
-  j.set("media", r.media).set("recovery", r.recovery).set("strict", r.strict);
-  return j;
-}
-
-Json to_json(const OptimizeRequest& r) {
-  Json j = Json::object();
-  j.set("op", "optimize").set("device", r.device);
-  if (!r.prms.empty()) j.set("prms", prms_to_json(r.prms));
-  if (r.prm_count != 0) j.set("prm_count", r.prm_count);
-  if (r.groups != 0) j.set("groups", r.groups);
-  j.set("seed", r.seed)
-      .set("rounds", r.rounds)
-      .set("proposals_per_round", r.proposals_per_round)
-      .set("media", r.media);
-  if (r.fault_rate) j.set("fault_rate", *r.fault_rate);
-  if (r.max_retries) j.set("max_retries", static_cast<u64>(*r.max_retries));
-  if (r.workers != 0) j.set("workers", static_cast<u64>(r.workers));
-  return j;
-}
-
-Json to_json(const ScheduleRequest& r) {
-  Json j = Json::object();
-  j.set("op", "schedule")
-      .set("device", r.device)
-      .set("prms", prms_to_json(r.prms))
-      .set("slots", r.slots)
-      .set("policy", r.policy)
-      .set("workload", r.workload);
-  if (!r.trace.empty()) j.set("trace", r.trace);
-  j.set("tasks", r.tasks)
-      .set("seed", r.seed)
-      .set("mean_interarrival_s", r.mean_interarrival_s)
-      .set("mean_exec_s", r.mean_exec_s)
-      .set("deadline_factor", r.deadline_factor)
-      .set("media", r.media)
-      .set("warm_media", r.warm_media)
-      .set("prefetch_rate_hz", r.prefetch_rate_hz);
-  if (r.fault_rate) j.set("fault_rate", *r.fault_rate);
-  if (r.max_retries) j.set("max_retries", static_cast<u64>(*r.max_retries));
-  j.set("cpu_workers", r.cpu_workers)
-      .set("cpu_slowdown", r.cpu_slowdown)
-      .set("detail", r.detail);
   return j;
 }
 

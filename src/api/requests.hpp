@@ -8,6 +8,7 @@
 // documented in README.md ("Batch mode & the JSONL API").
 #pragma once
 
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -39,10 +40,6 @@ Netlist make_builtin_prm(const std::string& name);
 
 /// Built-in PRM names, in canonical (usage-banner) order.
 const std::vector<std::string>& builtin_prm_names();
-
-/// "area" | "height" | "bitstream" -> objective; throws UsageError.
-SearchObjective parse_objective(const std::string& name);
-std::string_view objective_name(SearchObjective objective);
 
 // ---------------------------------------------------------------- synth --
 
@@ -358,6 +355,9 @@ struct DevicesResponse {
 
 // --------------------------------------------------- JSON (de)serialization
 
+// Request decoding is strict: an unknown member, a value of the wrong type
+// or a number out of its field's bounds is a UsageError naming the field.
+// The envelope members "op", "id" and "deadline_ms" are accepted.
 SynthRequest synth_request_from_json(const Json& j);
 PlanRequest plan_request_from_json(const Json& j);
 BitstreamRequest bitstream_request_from_json(const Json& j);
@@ -392,5 +392,41 @@ Json to_json(const RankRequest& r);
 Json to_json(const FaultsRequest& r);
 Json to_json(const OptimizeRequest& r);
 Json to_json(const ScheduleRequest& r);
+
+// ------------------------------------------------------- request schema --
+
+/// One row of a request op's field table (requests.cpp, the one place a
+/// request field is declared), as text for the CLI and the README.
+struct FieldInfo {
+  std::string_view wire;     ///< JSON member name
+  std::string flag;          ///< "--tasks N", "--shaped", "<prms>", "" (wire)
+  std::string_view type;     ///< string, bool, integer, number, strings
+  std::string default_json;  ///< the struct default ("null": engine default)
+  std::string bounds;        ///< "0..1", ">= 0"; "": only the type bounds it
+  std::string_view doc;
+};
+
+/// The field table of a request op (synth plan bitstream explore rank
+/// faults optimize schedule); empty for any other name, such as devices.
+std::vector<FieldInfo> request_fields(std::string_view op);
+
+/// A command line: positional arguments and `--flag value` pairs keyed by
+/// the flag name without dashes ("1" for a boolean flag).
+struct CliArgs {
+  std::vector<std::string> positional;
+  std::map<std::string, std::string, std::less<>> flags;
+
+  bool has(std::string_view flag) const { return flags.contains(flag); }
+  std::string get(std::string_view flag, std::string fallback = {}) const {
+    const auto it = flags.find(flag);
+    return it == flags.end() ? fallback : it->second;
+  }
+};
+
+/// Decode a request from a command line through its op's field table: the
+/// wire's type and bounds checks, naming the flag. Flags outside the table
+/// are left to the caller.
+template <typename Request>
+Request request_from_cli(const CliArgs& args);
 
 }  // namespace prcost::api

@@ -57,7 +57,8 @@ Bus LogicBuilder::constant(u32 width, u64 value) {
   Bus out;
   out.reserve(width);
   for (u32 i = 0; i < width; ++i) {
-    out.push_back(nl_.const_net(((value >> i) & 1) != 0));
+    // Bits past the 64th are zero: a shift by 64 or more is undefined.
+    out.push_back(nl_.const_net(i < 64 && ((value >> i) & 1) != 0));
   }
   return out;
 }

@@ -35,6 +35,36 @@ std::string_view trim(std::string_view s) {
   return s;
 }
 
+std::string_view closest_match(std::string_view word,
+                               const std::vector<std::string_view>& candidates) {
+  // Levenshtein distance over one rolling row.
+  const auto distance = [word](std::string_view other) {
+    std::vector<std::size_t> row(other.size() + 1);
+    for (std::size_t j = 0; j < row.size(); ++j) row[j] = j;
+    for (std::size_t i = 1; i <= word.size(); ++i) {
+      std::size_t diagonal = row[0];
+      row[0] = i;
+      for (std::size_t j = 1; j <= other.size(); ++j) {
+        const std::size_t above = row[j];
+        row[j] = std::min({above + 1, row[j - 1] + 1,
+                           diagonal + (word[i - 1] == other[j - 1] ? 0 : 1)});
+        diagonal = above;
+      }
+    }
+    return row.back();
+  };
+  std::string_view best;
+  std::size_t best_distance = std::max<std::size_t>(2, word.size() / 3) + 1;
+  for (const std::string_view candidate : candidates) {
+    const std::size_t d = distance(candidate);
+    if (d < best_distance) {
+      best = candidate;
+      best_distance = d;
+    }
+  }
+  return best;
+}
+
 bool starts_with(std::string_view s, std::string_view prefix) {
   return s.substr(0, prefix.size()) == prefix;
 }

@@ -25,6 +25,11 @@ std::string format_fixed(double v, int digits);
 /// Render bytes with a binary-unit suffix, e.g. "82.9 KiB".
 std::string format_bytes(double bytes);
 
+/// The candidate nearest to `word` by edit distance, for "did you mean"
+/// hints; empty when none is within max(2, |word| / 3) edits.
+std::string_view closest_match(std::string_view word,
+                               const std::vector<std::string_view>& candidates);
+
 /// Parse a non-negative integer; throws ParseError (with the offending
 /// token) on junk, sign characters, trailing garbage, or overflow.
 unsigned long long parse_u64(std::string_view s);

@@ -15,6 +15,7 @@
 #include "synth/synthesizer.hpp"
 #include "util/error.hpp"
 #include "util/json.hpp"
+#include "util/table.hpp"
 
 namespace prcost {
 namespace {
@@ -323,6 +324,23 @@ TEST(RequestJson, PlanRoundTrip) {
   EXPECT_EQ(parsed.objective, request.objective);
   EXPECT_EQ(parsed.shaped, request.shaped);
   EXPECT_EQ(parsed.cross_check, request.cross_check);
+
+  // The other PRM-source ops: the re-encoded request is byte-identical.
+  api::SynthRequest synth;
+  synth.source.netlist_path = "design.net";
+  synth.family = Family::kSpartan6;
+  const std::string synth_wire = api::to_json(synth).dump();
+  EXPECT_EQ(api::to_json(api::synth_request_from_json(Json::parse(synth_wire)))
+                .dump(),
+            synth_wire);
+  api::BitstreamRequest bitstream;
+  bitstream.device = "xc6vlx75t";
+  bitstream.source.report_path = "fir.srp";
+  const std::string bitstream_wire = api::to_json(bitstream).dump();
+  EXPECT_EQ(api::to_json(api::bitstream_request_from_json(
+                             Json::parse(bitstream_wire)))
+                .dump(),
+            bitstream_wire);
 }
 
 TEST(RequestJson, ExploreAndRankRoundTrip) {
@@ -345,6 +363,50 @@ TEST(RequestJson, ExploreAndRankRoundTrip) {
       Json::parse(api::to_json(rank_request).dump()));
   EXPECT_EQ(rank_parsed.prms, rank_request.prms);
   EXPECT_EQ(rank_parsed.tasks, rank_request.tasks);
+
+  // The simulation ops, with every optional set: the re-encoded request is
+  // byte-identical, so no field is lost or altered on the way.
+  api::FaultsRequest faults;
+  faults.device = "xc5vlx110t";
+  faults.prms = {"fir", "mips"};
+  faults.prr_count = 3;
+  faults.fault_rate = 0.25;
+  faults.stall_rate = 0.5;
+  faults.fault_seed = 9007199254740993ull;
+  faults.max_retries = 5;
+  faults.recovery = "reschedule";
+  faults.strict = true;
+  const std::string faults_wire = api::to_json(faults).dump();
+  EXPECT_EQ(
+      api::to_json(api::faults_request_from_json(Json::parse(faults_wire)))
+          .dump(),
+      faults_wire);
+  api::OptimizeRequest optimize;
+  optimize.device = "xc6vlx240t";
+  optimize.prm_count = 200;
+  optimize.groups = 4;
+  optimize.proposals_per_round = 3;
+  optimize.fault_rate = 0.1;
+  optimize.workers = 2;
+  const std::string optimize_wire = api::to_json(optimize).dump();
+  EXPECT_EQ(api::to_json(api::optimize_request_from_json(
+                             Json::parse(optimize_wire)))
+                .dump(),
+            optimize_wire);
+  api::ScheduleRequest schedule;
+  schedule.device = "xc7k325t";
+  schedule.prms = {"fir", "aes"};
+  schedule.workload = "trace";
+  schedule.trace = "{\"name\":\"t0\",\"prm\":0,\"arrival_s\":0}\n";
+  schedule.mean_exec_s = 0.125;
+  schedule.prefetch_rate_hz = 50;
+  schedule.max_retries = 0;
+  schedule.detail = true;
+  const std::string schedule_wire = api::to_json(schedule).dump();
+  EXPECT_EQ(api::to_json(api::schedule_request_from_json(
+                             Json::parse(schedule_wire)))
+                .dump(),
+            schedule_wire);
 }
 
 TEST(RequestJson, DefaultsApply) {
@@ -353,6 +415,133 @@ TEST(RequestJson, DefaultsApply) {
   EXPECT_EQ(request.objective, SearchObjective::kMinArea);
   EXPECT_FALSE(request.shaped);
   EXPECT_TRUE(request.cross_check);
+}
+
+/// The usage error one request line answers with, or "" when it decodes.
+std::string decode_error(
+    api::PlanRequest (*decode)(const Json&), std::string_view line) {
+  try {
+    decode(Json::parse(line));
+  } catch (const UsageError& error) {
+    return error.what();
+  }
+  return "";
+}
+
+TEST(RequestJson, StrictDecoding) {
+  const auto plan = [](std::string_view line) {
+    return decode_error(api::plan_request_from_json, line);
+  };
+  // A typo'd member no longer silently runs the default (PAR) path.
+  const std::string typo =
+      plan(R"({"device":"v5lx110t","prm":"fir","cross_chek":false})");
+  EXPECT_NE(typo.find("cross_chek"), std::string::npos) << typo;
+  EXPECT_NE(typo.find("cross_check"), std::string::npos) << typo;
+  // A wrong type names the field.
+  const std::string type = plan(R"({"prm":"fir","shaped":"yes"})");
+  EXPECT_NE(type.find("shaped"), std::string::npos) << type;
+  EXPECT_EQ(plan(R"({"prm":"fir","shaped":true})"), "");
+}
+
+TEST(RequestJson, EveryDecoderAcceptsTheEnvelope) {
+  // Whole request lines (as perfbench's layer probe passes them) decode.
+  const Json line = Json::parse(
+      R"({"op":"x","id":{"any":["value"]},"deadline_ms":2.5,"device":"d"})");
+  EXPECT_NO_THROW(api::synth_request_from_json(Json::parse(
+      R"({"op":"synth","id":1,"deadline_ms":0,"prm":"fir"})")));
+  EXPECT_NO_THROW(api::plan_request_from_json(line));
+  EXPECT_NO_THROW(api::bitstream_request_from_json(line));
+  EXPECT_NO_THROW(api::explore_request_from_json(line));
+  EXPECT_NO_THROW(api::rank_request_from_json(Json::parse(
+      R"({"op":"rank","id":"r","deadline_ms":1,"prms":["fir"]})")));
+  EXPECT_NO_THROW(api::faults_request_from_json(line));
+  EXPECT_NO_THROW(api::optimize_request_from_json(line));
+  EXPECT_NO_THROW(api::schedule_request_from_json(line));
+}
+
+TEST(RequestJson, SizeFieldsAreBounded) {
+  // Checked at the decoder only: no request at a bound ever runs.
+  const auto code_and_message = [](const auto& decode, const char* text) {
+    try {
+      decode(Json::parse(text));
+    } catch (const Error& error) {
+      return std::string{error_code_name(error.code())} + ": " + error.what();
+    }
+    return std::string{"ok"};
+  };
+  const auto faults = [](const Json& j) { api::faults_request_from_json(j); };
+  const auto optimize = [](const Json& j) {
+    api::optimize_request_from_json(j);
+  };
+  const auto schedule = [](const Json& j) {
+    api::schedule_request_from_json(j);
+  };
+  const auto explore = [](const Json& j) { api::explore_request_from_json(j); };
+  // Past u32 width: usage naming the field (was internal / bad_alloc).
+  EXPECT_EQ(code_and_message(faults, R"({"tasks":5000000000})"),
+            "usage: tasks: 5000000000 is not in 0..1000000");
+  const std::string fleet = code_and_message(optimize, R"({"prm_count":4e9})");
+  EXPECT_EQ(fleet.rfind("usage: prm_count", 0), 0u) << fleet;
+  EXPECT_EQ(code_and_message(optimize, R"({"prm_count":10001})"),
+            "usage: prm_count: 10001 is not in 0..10000");
+  EXPECT_EQ(code_and_message(schedule, R"({"slots":0})"),
+            "usage: slots: 0 is not in 1..1024");
+  EXPECT_EQ(code_and_message(faults, R"({"prr_count":0})"),
+            "usage: prr_count: 0 is not in 1..1024");
+  EXPECT_EQ(code_and_message(schedule, R"({"mean_exec_s":-0.5})"),
+            "usage: mean_exec_s: -0.5 is not >= 0");
+  // The bounds admit every size the tests, examples, README and benches use.
+  EXPECT_EQ(code_and_message(schedule, R"({"tasks":120000,"slots":3})"), "ok");
+  EXPECT_EQ(code_and_message(faults, R"({"tasks":20000,"prr_count":2})"),
+            "ok");
+  EXPECT_EQ(code_and_message(optimize, R"({"prm_count":500,"rounds":48})"),
+            "ok");
+  EXPECT_EQ(code_and_message(explore, R"({"max_groups":2,"tasks":100})"),
+            "ok");
+}
+
+TEST(RequestJson, FaultRateIsBoundedOnEveryOp) {
+  // The same out-of-range rate is one usage error naming the field on each
+  // op (schedule used to succeed and echo it; optimize answered contract).
+  const Engine engine;
+  for (const char* line :
+       {R"({"op":"faults","device":"xc5vlx110t","prms":["fir"],"fault_rate":-1})",
+        R"({"op":"schedule","device":"xc5vlx110t","prms":["fir"],"fault_rate":-1})",
+        R"({"op":"optimize","device":"xc5vlx110t","prm_count":3,"fault_rate":-1})"}) {
+    const Json envelope = api::dispatch_line(engine, line);
+    const Json* error = envelope.find("error");
+    ASSERT_NE(error, nullptr) << line;
+    EXPECT_EQ(error->find("code")->as_string(), "usage") << line;
+    EXPECT_EQ(error->find("message")->as_string(),
+              "fault_rate: -1 is not in 0..1");
+  }
+}
+
+/// The README field table of one op, as the schema renders it.
+std::string readme_field_table(std::string_view op) {
+  TextTable table{{"field", "CLI", "type", "default", "bounds", "doc"}};
+  for (const api::FieldInfo& field : api::request_fields(op)) {
+    table.add_row({"`" + std::string{field.wire} + "`",
+                   field.flag.empty() ? "wire only" : "`" + field.flag + "`",
+                   std::string{field.type}, "`" + field.default_json + "`",
+                   field.bounds, std::string{field.doc}});
+  }
+  return table.to_markdown();
+}
+
+TEST(RequestJson, ReadmeFieldTablesMatchTheSchema) {
+  std::ifstream in{PRCOST_README};
+  ASSERT_TRUE(in.good());
+  std::stringstream readme;
+  readme << in.rdbuf();
+  for (const char* op : {"synth", "plan", "bitstream", "explore", "rank",
+                         "faults", "optimize", "schedule"}) {
+    const std::string table = readme_field_table(op);
+    EXPECT_NE(readme.str().find("`" + std::string{op} + "`:\n\n" + table),
+              std::string::npos)
+        << "README.md is missing the current `" << op << "` table:\n"
+        << table;
+  }
 }
 
 TEST(ResponseJson, PlanResponseFields) {

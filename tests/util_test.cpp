@@ -91,6 +91,16 @@ TEST(StartsWith, Matches) {
   EXPECT_FALSE(starts_with("abc", "abcd"));
 }
 
+TEST(ClosestMatch, SuggestsNearestWithinThreshold) {
+  const std::vector<std::string_view> names{"cross_check", "shaped",
+                                            "objective", "device"};
+  EXPECT_EQ(closest_match("cross_chek", names), "cross_check");
+  EXPECT_EQ(closest_match("objectve", names), "objective");
+  EXPECT_EQ(closest_match("shpaed", names), "shaped");  // transposition: 2
+  EXPECT_EQ(closest_match("zzzzzzzz", names), "");
+  EXPECT_EQ(closest_match("x", {}), "");
+}
+
 TEST(ToLower, Converts) { EXPECT_EQ(to_lower("Virtex-5"), "virtex-5"); }
 
 TEST(FormatFixed, Digits) {

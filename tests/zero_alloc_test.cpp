@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "api/engine.hpp"
+#include "api/requests.hpp"
 #include "util/arena.hpp"
 
 namespace prcost {
@@ -83,6 +84,21 @@ TEST(ZeroAlloc, DistinctWarmRequestsStayAtZero) {
     ASSERT_TRUE(warm.stats.has_value());
     EXPECT_EQ(warm.stats->allocations, 0u) << prm;
   }
+}
+
+TEST(ZeroAlloc, PlanLineDecodeAllocatesNothing) {
+  // The online-query plan line: every timed daemon request is decoded
+  // through the plan or bitstream field table. Zero is the count measured
+  // before the table-driven decoder replaced the hand-written one; a "did
+  // you mean" hint may only be built on the error path.
+  const Json line = Json::parse(
+      R"({"op":"plan","device":"xc5vlx110t","prm":"fir","objective":"area",)"
+      R"("cross_check":false,"id":"q0-1"})");
+  api::plan_request_from_json(line);
+  const obs::RequestScope scope{true};
+  const api::PlanRequest request = api::plan_request_from_json(line);
+  EXPECT_EQ(scope.finish()->allocations, 0u);
+  EXPECT_FALSE(request.cross_check);
 }
 
 TEST(ZeroAlloc, ArenaRetainsCapacityAcrossScopes) {

@@ -39,6 +39,23 @@ if(NOT err MATCHES "--workers" OR NOT err MATCHES "3x")
   message(FATAL_ERROR "malformed --workers: error not surfaced: ${err}")
 endif()
 
+# Unknown flag: usage error naming the flag and the nearest valid one.
+execute_process(COMMAND ${CLI} plan fir --device xc5vlx110t --objectve height
+                RESULT_VARIABLE rc ERROR_VARIABLE err OUTPUT_QUIET)
+expect_rc(${rc} 2 "unknown flag")
+if(NOT err MATCHES "--objectve" OR NOT err MATCHES "--objective")
+  message(FATAL_ERROR "unknown flag: bad diagnostics: ${err}")
+endif()
+
+# Out-of-bounds size: usage error naming the flag (was exit 1, "narrow").
+execute_process(COMMAND ${CLI} faults fir --device xc5vlx110t
+                --tasks 5000000000 RESULT_VARIABLE rc ERROR_VARIABLE err
+                OUTPUT_QUIET)
+expect_rc(${rc} 2 "out-of-bounds --tasks")
+if(NOT err MATCHES "--tasks")
+  message(FATAL_ERROR "out-of-bounds --tasks: flag not named: ${err}")
+endif()
+
 # Unknown device: runtime failure - message, no banner.
 execute_process(COMMAND ${CLI} plan fir --device bogus RESULT_VARIABLE rc
                 ERROR_VARIABLE err OUTPUT_QUIET)

@@ -1,25 +1,14 @@
 // prcost command-line tool: thin adapters over the library Engine API
-// (src/api). Each subcommand maps flags onto a typed request, calls the
-// Engine, and renders the typed response; the same requests drive the
-// JSONL `batch` front-end and any embedding consumer, so no evaluation
-// logic lives here.
-//
-//   prcost devices
-//   prcost synth <prm> [--family v5] [-o report.srp]
-//   prcost plan <prm> --device xc5vlx110t [--report file.srp]
-//                [--objective area|height|bitstream] [--shaped]
-//   prcost bitstream <prm> --device xc5vlx110t [-o out.bit]
-//   prcost explore --device xc6vlx240t <prm> <prm> ...
-//   prcost batch [requests.jsonl]
+// (src/api). A request command decodes its flags through its op's field
+// table (api::request_from_cli), calls the Engine and renders the typed
+// response; `prcost` alone prints the usage those tables generate.
 //
 // Exit codes: 0 success, 1 runtime failure (unknown device/PRM, missing
 // file, infeasible PRR...), 2 usage error (only usage errors print the
 // usage banner).
-//
-// PRMs: fir mips sdram aes crc32 uart matmul
+#include <algorithm>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -42,173 +31,79 @@
 namespace {
 
 using namespace prcost;
+using api::CliArgs;
 using api::Engine;
 
-void print_usage(std::ostream& out) {
-  out <<
-      "usage:\n"
-      "  prcost devices\n"
-      "  prcost synth <prm> [--family v4|v5|v6|s7|s6] [-o report.srp]\n"
-      "  prcost plan <prm> --device <name> [--report file.srp]\n"
-      "              [--objective area|height|bitstream] [--shaped]\n"
-      "  prcost bitstream <prm> --device <name> [-o out.bit]\n"
-      "  prcost explore --device <name> <prm> <prm> [...] [--workers N]\n"
-      "              [--cross-check]  (generate + verify Pareto-front\n"
-      "               bitstreams against the Eq. 18 model)\n"
-      "  prcost netlist <prm> [-o design.net]\n"
-      "  prcost rank <prm> <prm> [...] [--workers N]\n"
-      "  prcost faults <prm> [...] --device <name> [--prrs N] [--tasks N]\n"
-      "              [--seed N] [--media cf|flash|ddr|bram]\n"
-      "              [--recovery drop|reschedule] [--strict]\n"
-      "              (multitask simulation under fault injection; set the\n"
-      "               rate with the global --fault-rate flag)\n"
-      "  prcost optimize --device <name> (<prm> [...] | --prm-count N)\n"
-      "              [--groups N] [--seed N] [--rounds N] [--proposals N]\n"
-      "              [--media cf|flash|ddr|bram] [--workers N]\n"
-      "              (joint partition-schedule-floorplan optimization:\n"
-      "               greedy baseline vs simulated annealing over\n"
-      "               swap/relocate/resize/compact moves, costed through\n"
-      "               the bitstream + reconfiguration + fault models)\n"
-      "  prcost schedule <prm> [...] --device <name> [--slots N]\n"
-      "              [--policy fcfs|priority|edf]\n"
-      "              [--workload poisson|bursty | --trace FILE]\n"
-      "              [--tasks N] [--seed N] [--deadline-factor X]\n"
-      "              [--media cf|flash|ddr|bram] [--warm-media ...]\n"
-      "              [--prefetch-rate HZ] [--cpu-workers N]\n"
-      "              [--cpu-slowdown X] [--dump-trace FILE]\n"
-      "              (online event-driven scheduler over floorplanned PRR\n"
-      "               slots: reconfiguration-aware placement priced through\n"
-      "               the controller + fault-retry models, arrival-rate-\n"
-      "               triggered bitstream prefetch, CPU fallback for\n"
-      "               deadline-infeasible placements)\n"
-      "  prcost batch [requests.jsonl] [--workers N] [-o responses.jsonl]\n"
-      "              (JSONL requests from the file or stdin, streamed in\n"
-      "               bounded windows; exactly one JSON response per line -\n"
-      "               see README \"Batch mode\")\n"
-      "  prcost serve (--socket PATH | --port N [--host H]) [--max-queue N]\n"
-      "              [--max-inflight N] [--dispatch-batch N] [--workers N]\n"
-      "              [--drain-grace-ms N]\n"
-      "              (warm multi-tenant daemon: one shared engine, JSONL\n"
-      "               over unix/TCP sockets with the batch wire contract\n"
-      "               plus \"ping\" and \"metrics\" ops; bounded admission\n"
-      "               queue sheds with the \"overloaded\" code; SIGTERM\n"
-      "               drains in-flight work, flushes --cache-dir snapshots\n"
-      "               and exits 0 - see README \"Serve mode\")\n"
-      "  prcost client (--socket PATH | --port N [--host H])\n"
-      "              [requests.jsonl]\n"
-      "              (send JSONL requests from the file or stdin to a\n"
-      "               daemon; one response line per request on stdout)\n"
-      "global flags (any command):\n"
-      "  --fault-rate P      probability a bitstream transfer is corrupted\n"
-      "                      (0..1, default 0 = faults off)\n"
-      "  --stall-rate P      probability of a storage-media stall (0..1)\n"
-      "  --fault-seed N      fault injector seed (runs are reproducible)\n"
-      "  --max-retries N     verified-transfer retry budget (default 3)\n"
-      "  --stats             attach request-scoped telemetry to every\n"
-      "                      response (wall time, per-phase times, cache\n"
-      "                      hits/misses, retries, allocations); batch\n"
-      "                      lines gain a result.stats block\n"
-      "  --trace-out FILE    record spans, write Chrome trace-event JSON\n"
-      "                      (open at https://ui.perfetto.dev)\n"
-      "  --trace-folded FILE record spans, write flamegraph folded stacks\n"
-      "  --metrics-out FILE  write the metrics registry as JSON\n"
-      "                      (FILE '-' sends any of these to stderr,\n"
-      "                       keeping stdout results intact)\n"
-      "  --log-level LVL     debug|info|warn|error|off (default warn)\n"
-      "  --no-plan-cache     disable PRR plan memoization (escape hatch;\n"
-      "                      results are identical either way)\n"
-      "  --no-bitstream-cache  disable generated-bitstream memoization\n"
-      "                      (escape hatch; output is byte-identical)\n"
-      "  --cache-dir DIR     persist the plan/bitstream caches as warm-\n"
-      "                      start snapshots in DIR (loaded on startup,\n"
-      "                      saved on success; missing or corrupt\n"
-      "                      snapshots cold-start cleanly and output is\n"
-      "                      byte-identical either way)\n"
-      "  --workers N         parallel workers for explore/rank/batch\n"
-      "                      (0 = auto)\n"
-      "prms: fir mips sdram aes crc32 uart matmul sobel fft\n"
-      "netlist files: prcost netlist <prm> -o design.net; "
-      "then --netlist design.net\n"
-      "exit codes: 0 ok, 1 runtime failure, 2 usage error\n";
-}
-
-/// Tiny flag parser: positional args plus --key value / -o value pairs.
-struct Args {
-  std::vector<std::string> positional;
-  std::map<std::string, std::string> flags;
-  bool has(const std::string& key) const { return flags.count(key) > 0; }
-  std::string get(const std::string& key, const std::string& fallback) const {
-    const auto it = flags.find(key);
-    return it == flags.end() ? fallback : it->second;
-  }
+/// Flags every command accepts, as "name VALUE" ("name" for a boolean):
+/// they configure the Engine and the observability outputs.
+const std::pair<std::string_view, std::string_view> kGlobalFlags[] = {
+    {"fault-rate P", "probability a bitstream transfer is corrupted"},
+    {"stall-rate P", "probability of a storage-media stall"},
+    {"fault-seed N", "fault injector seed (runs are reproducible)"},
+    {"max-retries N", "verified-transfer retry budget"},
+    {"workers N", "parallel workers (0 = auto)"},
+    {"stats", "attach request-scoped telemetry to every response"},
+    {"trace-out FILE", "record spans, write Chrome trace-event JSON"},
+    {"trace-folded FILE", "record spans, write flamegraph folded stacks"},
+    {"metrics-out FILE", "write the metrics registry as JSON ('-': stderr)"},
+    {"log-level LVL", "debug|info|warn|error|off (default warn)"},
+    {"no-plan-cache", "disable PRR plan memoization"},
+    {"no-bitstream-cache", "disable generated-bitstream memoization"},
+    {"cache-dir DIR", "persist the caches as warm-start snapshots in DIR"},
 };
 
-Args parse_args(int argc, char** argv, int first) {
-  Args args;
-  for (int i = first; i < argc; ++i) {
-    std::string token = argv[i];
-    if (token.rfind("--", 0) == 0 || token == "-o") {
-      const std::string key = token.rfind("--", 0) == 0 ? token.substr(2)
-                                                        : "out";
-      if (key == "shaped" || key == "no-plan-cache" ||
-          key == "no-bitstream-cache" || key == "cross-check" ||
-          key == "strict" || key == "stats") {  // booleans
-        args.flags[key] = "1";
-        continue;
-      }
-      if (i + 1 >= argc) throw UsageError{"flag " + token + " needs a value"};
-      args.flags[key] = argv[++i];
-    } else {
-      args.positional.push_back(std::move(token));
-    }
-  }
-  return args;
-}
-
-/// Parse the --workers flag (0 = auto). Malformed values surface the
-/// actual parse error, not a generic usage message.
-std::size_t workers_flag(const Args& args) {
-  const std::string value = args.get("workers", "0");
-  try {
-    return narrow<std::size_t>(parse_u64(value));
-  } catch (const std::exception& error) {
-    throw UsageError{"--workers: " + std::string{error.what()}};
-  }
-}
-
-/// Parse an unsigned flag; malformed values surface the parse error under
+/// Parse a numeric flag; malformed values surface the parse error under
 /// the flag's own name.
-u64 u64_flag(const Args& args, const std::string& key, u64 fallback) {
+template <typename T>
+T number_flag(const CliArgs& args, const std::string& key, T fallback) {
   if (!args.has(key)) return fallback;
   try {
-    return parse_u64(args.get(key, ""));
+    if constexpr (std::is_floating_point_v<T>) {
+      return parse_double(args.get(key));
+    } else {
+      return narrow<T>(parse_u64(args.get(key)));
+    }
   } catch (const std::exception& error) {
     throw UsageError{"--" + key + ": " + std::string{error.what()}};
   }
 }
 
-/// Parse a floating-point flag the same way.
-double double_flag(const Args& args, const std::string& key, double fallback) {
-  if (!args.has(key)) return fallback;
-  try {
-    return parse_double(args.get(key, ""));
-  } catch (const std::exception& error) {
-    throw UsageError{"--" + key + ": " + std::string{error.what()}};
+/// Decode a request whose PRM source follows the CLI precedence:
+/// --netlist, then --report, then the positional PRM.
+template <typename Request>
+Request with_source(const CliArgs& args) {
+  Request request = api::request_from_cli<Request>(args);
+  api::PrmSource& s = request.source;
+  if (!s.netlist_path.empty()) s.report_path.clear();
+  if (!s.netlist_path.empty() || !s.report_path.empty()) s.prm.clear();
+  return request;
+}
+
+/// Write `text` to the -o file (announcing it) or to stdout.
+void emit_text(const CliArgs& args, const std::string& text) {
+  if (args.has("o")) {
+    std::ofstream out{args.get("o")};
+    out << text;
+    std::cout << "wrote " << args.get("o") << '\n';
+  } else {
+    std::cout << text;
   }
 }
 
-/// Map the shared PRM-source flags onto a typed PrmSource (the Engine
-/// validates that exactly one is set).
-api::PrmSource prm_source(const Args& args) {
-  api::PrmSource source;
-  if (args.has("netlist")) {
-    source.netlist_path = args.get("netlist", "");
-  } else if (args.has("report")) {
-    source.report_path = args.get("report", "");
-  } else if (!args.positional.empty()) {
-    source.prm = args.positional[0];
+/// The positional input file (opened into `file`), or stdin without one.
+std::istream& input(const CliArgs& args, std::ifstream& file,
+                    const std::string& what) {
+  if (args.positional.empty()) return std::cin;
+  file.open(args.positional[0]);
+  if (!file) {
+    throw IoError{"cannot open " + what + " file '" + args.positional[0] + "'"};
   }
-  return source;
+  return file;
+}
+
+/// Seconds as fixed-point milliseconds, e.g. "1.234 ms".
+std::string ms(double seconds, int digits) {
+  return format_fixed(seconds * 1e3, digits) + " ms";
 }
 
 /// Render the optional --stats block of a response on stdout (after the
@@ -233,7 +128,7 @@ void print_request_stats(const std::optional<obs::RequestStatsSummary>& s) {
   std::cout << table.to_ascii();
 }
 
-int cmd_devices(const Engine& engine) {
+int cmd_devices(const Engine& engine, const CliArgs&) {
   TextTable table{{"device", "family", "rows", "CLB cols", "DSP cols",
                    "BRAM cols", "CLBs", "DSPs", "BRAM36s"}};
   const api::DevicesResponse response = engine.list_devices();
@@ -248,35 +143,18 @@ int cmd_devices(const Engine& engine) {
   return 0;
 }
 
-int cmd_synth(const Engine& engine, const Args& args) {
-  if (args.positional.empty()) throw UsageError{"synth needs a PRM"};
-  api::SynthRequest request;
-  request.source.prm = args.positional[0];
-  request.family = parse_family(args.get("family", "v5"));
-  const api::SynthResponse response = engine.synth(request);
-  const std::string text = report_to_text(response.report);
-  if (args.has("out")) {
-    std::ofstream out{args.get("out", "")};
-    out << text;
-    std::cout << "wrote " << args.get("out", "") << '\n';
-  } else {
-    std::cout << text;
-  }
+int cmd_synth(const Engine& engine, const CliArgs& args) {
+  const api::SynthResponse response =
+      engine.synth(api::request_from_cli<api::SynthRequest>(args));
+  emit_text(args, report_to_text(response.report));
   print_request_stats(response.stats);
   return 0;
 }
 
-int cmd_plan(const Engine& engine, const Args& args) {
-  if (!args.has("device")) throw UsageError{"plan needs --device"};
-  api::PlanRequest request;
-  request.device = args.get("device", "");
-  request.source = prm_source(args);
-  request.objective = api::parse_objective(args.get("objective", "area"));
-  request.shaped = args.has("shaped");
-
+int cmd_plan(const Engine& engine, const CliArgs& args) {
   api::PlanResponse response;
   try {
-    response = engine.plan(request);
+    response = engine.plan(with_source<api::PlanRequest>(args));
   } catch (const InfeasibleError& error) {
     std::cout << error.what() << '\n';
     return 1;
@@ -337,38 +215,30 @@ int cmd_plan(const Engine& engine, const Args& args) {
   return 0;
 }
 
-int cmd_bitstream(const Engine& engine, const Args& args) {
-  if (!args.has("device")) throw UsageError{"bitstream needs --device"};
-  api::BitstreamRequest request;
-  request.device = args.get("device", "");
-  request.source = prm_source(args);
-
+int cmd_bitstream(const Engine& engine, const CliArgs& args) {
   api::BitstreamResponse response;
   try {
-    response = engine.bitstream(request);
+    response = engine.bitstream(with_source<api::BitstreamRequest>(args));
   } catch (const InfeasibleError& error) {
     std::cout << error.what() << '\n';
     return 1;
   }
   std::cout << disassemble(*response.words, response.family);
-  if (args.has("out")) {
+  if (args.has("o")) {
     const auto bytes = to_bytes(*response.words, response.family);
-    std::ofstream out{args.get("out", ""), std::ios::binary};
+    std::ofstream out{args.get("o"), std::ios::binary};
     out.write(reinterpret_cast<const char*>(bytes.data()),
               static_cast<std::streamsize>(bytes.size()));
-    std::cout << "wrote " << bytes.size() << " bytes to "
-              << args.get("out", "") << '\n';
+    std::cout << "wrote " << bytes.size() << " bytes to " << args.get("o")
+              << '\n';
   }
   print_request_stats(response.stats);
   return 0;
 }
 
-int cmd_rank(const Engine& engine, const Args& args) {
-  if (args.positional.empty()) throw UsageError{"rank needs at least one PRM"};
-  api::RankRequest request;
-  request.prms = args.positional;
-  request.workers = workers_flag(args);
-  const api::RankResponse response = engine.rank(request);
+int cmd_rank(const Engine& engine, const CliArgs& args) {
+  const api::RankResponse response =
+      engine.rank(api::request_from_cli<api::RankRequest>(args));
 
   TextTable table{{"rank", "device", "feasible", "fabric used",
                    "bitstream total", "makespan (ms)"}};
@@ -392,42 +262,21 @@ int cmd_rank(const Engine& engine, const Args& args) {
   return 0;
 }
 
-int cmd_faults(const Engine& engine, const Args& args) {
-  if (!args.has("device")) throw UsageError{"faults needs --device"};
-  if (args.positional.empty()) {
-    throw UsageError{"faults needs at least one PRM"};
-  }
-  api::FaultsRequest request;
-  request.device = args.get("device", "");
-  request.prms = args.positional;
-  request.prr_count = narrow<u32>(u64_flag(args, "prrs", 2));
-  request.tasks = narrow<u32>(u64_flag(args, "tasks", 100));
-  request.seed = u64_flag(args, "seed", 42);
-  request.media = args.get("media", "ddr");
-  request.recovery = args.get("recovery", "drop");
-  request.strict = args.has("strict");
-  // The fault environment itself (--fault-rate, --fault-seed,
-  // --max-retries) is global and already folded into the engine defaults;
-  // the request optionals stay unset so those defaults apply.
-  const api::FaultsResponse response = engine.faults(request);
+int cmd_faults(const Engine& engine, const CliArgs& args) {
+  const api::FaultsResponse response =
+      engine.faults(api::request_from_cli<api::FaultsRequest>(args));
 
   TextTable table{{"quantity", "value"}};
   table.add_row({"fault rate", format_fixed(response.fault_rate, 4)});
   table.add_row({"fault seed", std::to_string(response.fault_seed)});
   table.add_row({"max retries", std::to_string(response.max_retries)});
-  table.add_row({"makespan", format_fixed(response.makespan_s * 1e3, 2) +
-                                 " ms"});
+  table.add_row({"makespan", ms(response.makespan_s, 2)});
   table.add_row({"reconfigurations", std::to_string(response.reconfig_count)});
   table.add_row({"effective reconfig time",
-                 format_fixed(response.effective_reconfig_s * 1e3, 3) +
-                     " ms"});
+                 ms(response.effective_reconfig_s, 3)});
   table.add_row({"retry attempts", std::to_string(response.retry_attempts)});
-  table.add_row({"retry backoff",
-                 format_fixed(response.total_retry_backoff_s * 1e3, 3) +
-                     " ms"});
-  table.add_row({"wasted ICAP time",
-                 format_fixed(response.total_fault_wasted_s * 1e3, 3) +
-                     " ms"});
+  table.add_row({"retry backoff", ms(response.total_retry_backoff_s, 3)});
+  table.add_row({"wasted ICAP time", ms(response.total_fault_wasted_s, 3)});
   table.add_row({"injected faults / stalls",
                  std::to_string(response.injected_faults) + " / " +
                      std::to_string(response.injected_stalls)});
@@ -436,28 +285,17 @@ int cmd_faults(const Engine& engine, const Args& args) {
   table.add_row({"rescheduled tasks",
                  std::to_string(response.rescheduled_tasks)});
   table.add_row({"dropped tasks", std::to_string(response.dropped_tasks)});
-  table.add_row({"drop penalty",
-                 format_fixed(response.total_penalty_s * 1e3, 3) + " ms"});
+  table.add_row({"drop penalty", ms(response.total_penalty_s, 3)});
   std::cout << table.to_ascii();
   print_request_stats(response.stats);
   return 0;
 }
 
-int cmd_optimize(const Engine& engine, const Args& args) {
-  if (!args.has("device")) throw UsageError{"optimize needs --device"};
-  api::OptimizeRequest request;
-  request.device = args.get("device", "");
-  request.prms = args.positional;
-  request.prm_count = narrow<u32>(u64_flag(args, "prm-count", 0));
+int cmd_optimize(const Engine& engine, const CliArgs& args) {
+  const auto request = api::request_from_cli<api::OptimizeRequest>(args);
   if (request.prms.empty() && request.prm_count == 0) {
     throw UsageError{"optimize needs PRMs or --prm-count N"};
   }
-  request.groups = narrow<u32>(u64_flag(args, "groups", 0));
-  request.seed = u64_flag(args, "seed", 1);
-  request.rounds = narrow<u32>(u64_flag(args, "rounds", 48));
-  request.proposals_per_round = narrow<u32>(u64_flag(args, "proposals", 8));
-  request.media = args.get("media", "ddr");
-  request.workers = workers_flag(args);
   const api::OptimizeResponse response = engine.optimize(request);
 
   const auto pct = [](double x) { return format_fixed(x * 100.0, 1) + "%"; };
@@ -472,9 +310,8 @@ int cmd_optimize(const Engine& engine, const Args& args) {
                  std::to_string(response.anneal_rejected_prms)});
   table.add_row({"rejection rate", pct(response.greedy_rejection_rate),
                  pct(response.anneal_rejection_rate)});
-  table.add_row({"makespan",
-                 format_fixed(response.greedy_makespan_s * 1e3, 2) + " ms",
-                 format_fixed(response.anneal_makespan_s * 1e3, 2) + " ms"});
+  table.add_row({"makespan", ms(response.greedy_makespan_s, 2),
+                 ms(response.anneal_makespan_s, 2)});
   table.add_row({"fragmentation", pct(response.greedy_fragmentation),
                  pct(response.anneal_fragmentation)});
   table.add_row({"cost", format_fixed(response.greedy_cost, 3),
@@ -489,7 +326,7 @@ int cmd_optimize(const Engine& engine, const Args& args) {
             << response.accepted_relocate << ", resize "
             << response.accepted_resize << ", compact "
             << response.accepted_compact << "), relocation ICAP time "
-            << format_fixed(response.anneal_relocation_s * 1e3, 3) << " ms\n"
+            << ms(response.anneal_relocation_s, 3) << "\n"
             << "cost re-evaluation: "
             << (response.cost_verified ? "matches" : "MISMATCH")
             << ", bitstream model: "
@@ -500,19 +337,10 @@ int cmd_optimize(const Engine& engine, const Args& args) {
   return response.cost_verified && response.bitstream_verified ? 0 : 1;
 }
 
-int cmd_schedule(const Engine& engine, const Args& args) {
-  if (!args.has("device")) throw UsageError{"schedule needs --device"};
-  if (args.positional.empty()) {
-    throw UsageError{"schedule needs at least one PRM"};
-  }
-  api::ScheduleRequest request;
-  request.device = args.get("device", "");
-  request.prms = args.positional;
-  request.slots = narrow<u32>(u64_flag(args, "slots", 2));
-  request.policy = args.get("policy", "fcfs");
-  request.workload = args.get("workload", "poisson");
+int cmd_schedule(const Engine& engine, const CliArgs& args) {
+  auto request = api::request_from_cli<api::ScheduleRequest>(args);
   if (args.has("trace")) {
-    const std::string path = args.get("trace", "");
+    const std::string path = args.get("trace");
     std::ifstream in{path};
     if (!in) throw IoError{"cannot open trace file '" + path + "'"};
     std::stringstream buffer;
@@ -520,34 +348,11 @@ int cmd_schedule(const Engine& engine, const Args& args) {
     request.trace = buffer.str();
     request.workload = "trace";
   }
-  request.tasks = narrow<u32>(u64_flag(args, "tasks", 100));
-  request.seed = u64_flag(args, "seed", 42);
-  request.mean_interarrival_s = double_flag(args, "interarrival", 2.0e-3);
-  request.mean_exec_s = double_flag(args, "exec", 5.0e-3);
-  request.deadline_factor = double_flag(args, "deadline-factor", 0.0);
-  request.media = args.get("media", "flash");
-  request.warm_media = args.get("warm-media", "ddr");
-  request.prefetch_rate_hz = double_flag(args, "prefetch-rate", 0.0);
-  request.cpu_workers = narrow<u32>(u64_flag(args, "cpu-workers", 2));
-  request.cpu_slowdown = double_flag(args, "cpu-slowdown", 8.0);
-  // The fault environment (--fault-rate, --max-retries) is global and
-  // already folded into the engine defaults; the optionals stay unset.
 
   if (args.has("dump-trace")) {
-    // Record the arrival stream (before running it) as a replayable JSONL
-    // trace: generate the same synthetic workload the run will use.
-    sched::ArrivalParams params;
-    params.count = request.tasks;
-    params.prm_count = narrow<u32>(request.prms.size());
-    params.mean_interarrival_s = request.mean_interarrival_s;
-    params.mean_exec_s = request.mean_exec_s;
-    params.deadline_factor = request.deadline_factor;
-    params.seed = request.seed;
-    const std::vector<sched::Task> tasks =
-        request.workload == "trace"    ? sched::parse_trace(request.trace)
-        : request.workload == "bursty" ? sched::make_bursty(params)
-                                       : sched::make_poisson(params);
-    const std::string path = args.get("dump-trace", "");
+    // Record the arrival stream the run will use, as a replayable trace.
+    const std::vector<sched::Task> tasks = api::schedule_arrivals(request);
+    const std::string path = args.get("dump-trace");
     std::ofstream out{path};
     if (!out) throw IoError{"cannot write trace file '" + path + "'"};
     out << sched::dump_trace(tasks);
@@ -560,16 +365,14 @@ int cmd_schedule(const Engine& engine, const Args& args) {
   table.add_row({"policy", response.policy});
   table.add_row({"PRR slots", std::to_string(response.slot_count)});
   table.add_row({"tasks", std::to_string(response.task_count)});
-  table.add_row({"makespan", format_fixed(response.makespan_s * 1e3, 2) +
-                                 " ms"});
+  table.add_row({"makespan", ms(response.makespan_s, 2)});
   table.add_row({"throughput",
                  format_fixed(response.throughput_per_s, 1) + " tasks/s"});
   table.add_row({"reconfigurations",
                  std::to_string(response.reconfig_count)});
   table.add_row({"slot reuse hits", std::to_string(response.reuse_hits)});
   table.add_row({"reconfig time / task",
-                 format_fixed(response.reconfig_seconds_per_task * 1e3, 3) +
-                     " ms"});
+                 ms(response.reconfig_seconds_per_task, 3)});
   table.add_row({"prefetches issued",
                  std::to_string(response.prefetches_issued)});
   table.add_row({"warm (prefetched) reconfigs",
@@ -577,40 +380,22 @@ int cmd_schedule(const Engine& engine, const Args& args) {
   table.add_row({"deadline misses",
                  std::to_string(response.deadline_misses)});
   table.add_row({"CPU fallbacks", std::to_string(response.cpu_fallbacks)});
-  table.add_row({"mean wait",
-                 format_fixed(response.mean_wait_s * 1e3, 3) + " ms"});
-  table.add_row({"mean turnaround",
-                 format_fixed(response.mean_turnaround_s * 1e3, 3) + " ms"});
+  table.add_row({"mean wait", ms(response.mean_wait_s, 3)});
+  table.add_row({"mean turnaround", ms(response.mean_turnaround_s, 3)});
   std::cout << table.to_ascii();
   print_request_stats(response.stats);
   return 0;
 }
 
-int cmd_netlist(const Args& args) {
+int cmd_netlist(const Engine&, const CliArgs& args) {
   if (args.positional.empty()) throw UsageError{"netlist needs a PRM"};
-  const std::string text =
-      netlist_to_text(api::make_builtin_prm(args.positional[0]));
-  if (args.has("out")) {
-    std::ofstream out{args.get("out", "")};
-    out << text;
-    std::cout << "wrote " << args.get("out", "") << '\n';
-  } else {
-    std::cout << text;
-  }
+  emit_text(args, netlist_to_text(api::make_builtin_prm(args.positional[0])));
   return 0;
 }
 
-int cmd_explore(const Engine& engine, const Args& args) {
-  if (!args.has("device")) throw UsageError{"explore needs --device"};
-  if (args.positional.size() < 2) {
-    throw UsageError{"explore needs at least two PRMs"};
-  }
-  api::ExploreRequest request;
-  request.device = args.get("device", "");
-  request.prms = args.positional;
-  request.workers = workers_flag(args);
-  request.cross_check = args.has("cross-check");
-  const api::ExploreResponse response = engine.explore(request);
+int cmd_explore(const Engine& engine, const CliArgs& args) {
+  const api::ExploreResponse response =
+      engine.explore(api::request_from_cli<api::ExploreRequest>(args));
 
   TextTable table{{"partitioning", "area", "makespan (ms)", "feasible"}};
   for (const DesignPoint& point : response.points) {
@@ -644,30 +429,23 @@ int cmd_explore(const Engine& engine, const Args& args) {
   return 0;
 }
 
-int cmd_batch(const Engine& engine, const Args& args) {
+int cmd_batch(const Engine& engine, const CliArgs& args) {
   api::BatchOptions options;
-  options.workers = workers_flag(args);
+  options.workers = number_flag(args, "workers", options.workers);
 
   std::ifstream file;
-  std::istream* in = &std::cin;
-  if (!args.positional.empty()) {
-    file.open(args.positional[0]);
-    if (!file) {
-      throw IoError{"cannot open batch file '" + args.positional[0] + "'"};
-    }
-    in = &file;
-  }
+  std::istream& in = input(args, file, "batch");
   std::ofstream out_file;
   std::ostream* out = &std::cout;
-  if (args.has("out")) {
-    out_file.open(args.get("out", ""));
+  if (args.has("o")) {
+    out_file.open(args.get("o"));
     if (!out_file) {
-      throw IoError{"cannot open output file '" + args.get("out", "") + "'"};
+      throw IoError{"cannot open output file '" + args.get("o") + "'"};
     }
     out = &out_file;
   }
 
-  const api::BatchStats stats = api::run_batch(engine, *in, *out, options);
+  const api::BatchStats stats = api::run_batch(engine, in, *out, options);
   // Tally on stderr so stdout stays pure JSONL. Per-request failures are
   // structured responses, not process failures: exit 0 either way.
   std::cerr << "batch: " << stats.requests << " requests, " << stats.succeeded
@@ -675,23 +453,19 @@ int cmd_batch(const Engine& engine, const Args& args) {
   return 0;
 }
 
-int cmd_serve(const Engine& engine, const Args& args) {
+int cmd_serve(const Engine& engine, const CliArgs& args) {
   serve::ServerOptions options;
-  options.unix_path = args.get("socket", "");
-  if (args.has("port")) {
-    options.tcp_port = narrow<int>(u64_flag(args, "port", 0));
-  }
+  options.unix_path = args.get("socket");
+  options.tcp_port = number_flag(args, "port", options.tcp_port);
   options.tcp_host = args.get("host", options.tcp_host);
-  options.max_queue =
-      narrow<std::size_t>(u64_flag(args, "max-queue", options.max_queue));
-  options.max_inflight_per_conn = narrow<std::size_t>(
-      u64_flag(args, "max-inflight", options.max_inflight_per_conn));
-  options.dispatch_batch = narrow<std::size_t>(
-      u64_flag(args, "dispatch-batch", options.dispatch_batch));
-  options.workers = workers_flag(args);
-  options.drain_grace_ms = narrow<int>(
-      u64_flag(args, "drain-grace-ms",
-               static_cast<u64>(options.drain_grace_ms)));
+  options.max_queue = number_flag(args, "max-queue", options.max_queue);
+  options.max_inflight_per_conn =
+      number_flag(args, "max-inflight", options.max_inflight_per_conn);
+  options.dispatch_batch =
+      number_flag(args, "dispatch-batch", options.dispatch_batch);
+  options.workers = number_flag(args, "workers", options.workers);
+  options.drain_grace_ms =
+      number_flag(args, "drain-grace-ms", options.drain_grace_ms);
   if (options.unix_path.empty() && !args.has("port")) {
     throw UsageError{"serve needs --socket PATH and/or --port N"};
   }
@@ -721,32 +495,137 @@ int cmd_serve(const Engine& engine, const Args& args) {
   return 0;
 }
 
-int cmd_client(const Args& args) {
+int cmd_client(const Engine&, const CliArgs& args) {
   serve::Client client;
   if (args.has("socket")) {
-    client = serve::Client::connect_unix(args.get("socket", ""));
+    client = serve::Client::connect_unix(args.get("socket"));
   } else if (args.has("port")) {
     client = serve::Client::connect_tcp(args.get("host", "127.0.0.1"),
-                                        narrow<int>(u64_flag(args, "port", 0)));
+                                        number_flag(args, "port", 0));
   } else {
     throw UsageError{"client needs --socket PATH or --port N"};
   }
 
   std::ifstream file;
-  std::istream* in = &std::cin;
-  if (!args.positional.empty()) {
-    file.open(args.positional[0]);
-    if (!file) {
-      throw IoError{"cannot open requests file '" + args.positional[0] + "'"};
-    }
-    in = &file;
-  }
+  std::istream& in = input(args, file, "requests");
   std::string line;
-  while (std::getline(*in, line)) {
+  while (std::getline(in, line)) {
     std::cout << client.request(line) << '\n';
   }
   std::cout.flush();
   return 0;
+}
+
+/// A command; one named like a request op takes that op's field table.
+struct Command {
+  std::string_view name;
+  int (*run)(const Engine&, const CliArgs&);
+  std::vector<std::string_view> flags = {};  ///< flags outside the table
+  std::string_view args = {};  ///< positional arguments outside the table
+};
+
+const Command kCommands[] = {
+    {"devices", cmd_devices},
+    {"synth", cmd_synth, {"o FILE"}},
+    {"plan", cmd_plan},
+    {"bitstream", cmd_bitstream, {"o FILE"}},
+    {"explore", cmd_explore},
+    {"netlist", cmd_netlist, {"o FILE"}, "<prm>"},
+    {"rank", cmd_rank},
+    {"faults", cmd_faults},
+    {"optimize", cmd_optimize},
+    {"schedule", cmd_schedule, {"trace FILE", "dump-trace FILE"}},
+    {"batch", cmd_batch, {"o FILE"}, "[requests.jsonl]"},
+    {"serve", cmd_serve,
+     {"socket PATH", "port N", "host H", "max-queue N", "max-inflight N",
+      "dispatch-batch N", "drain-grace-ms N"}},
+    {"client", cmd_client, {"socket PATH", "port N", "host H"},
+     "[requests.jsonl]"},
+};
+
+/// A command's flags as "name VALUE" ("name" for a boolean): its field
+/// table's CLI flags, then its own.
+std::vector<std::string> command_flags(const Command& command) {
+  std::vector<std::string> flags;
+  for (const api::FieldInfo& field : api::request_fields(command.name)) {
+    if (starts_with(field.flag, "--")) flags.push_back(field.flag.substr(2));
+  }
+  flags.insert(flags.end(), command.flags.begin(), command.flags.end());
+  return flags;
+}
+
+/// "o FILE" -> "-o FILE", "tasks N" -> "--tasks N".
+std::string dashed(std::string_view flag) {
+  return (flag.size() == 1 || flag[1] == ' ' ? "-" : "--") + std::string{flag};
+}
+
+void print_usage(std::ostream& out) {
+  out << "usage:\n";
+  for (const Command& command : kCommands) {
+    std::vector<std::string> words;
+    for (const api::FieldInfo& field : api::request_fields(command.name)) {
+      if (starts_with(field.flag, "<")) words.push_back(field.flag);
+    }
+    if (!command.args.empty()) words.emplace_back(command.args);
+    for (const std::string& flag : command_flags(command)) {
+      words.push_back("[" + dashed(flag) + "]");
+    }
+    std::string line = "  prcost " + std::string{command.name};
+    for (const std::string& word : words) {
+      if (line.size() + word.size() >= 79) {
+        out << line << '\n';
+        line.assign(13, ' ');
+      }
+      line += ' ' + word;
+    }
+    out << line << '\n';
+  }
+  out << "global flags (any command):\n";
+  for (const auto& [flag, doc] : kGlobalFlags) {
+    std::string line = "  " + dashed(flag);
+    line.resize(std::max<std::size_t>(line.size() + 1, 24), ' ');
+    out << line << doc << '\n';
+  }
+  out << "prms:";
+  for (const std::string& name : api::builtin_prm_names()) out << ' ' << name;
+  out << "\nexit codes: 0 ok, 1 runtime failure, 2 usage error\n";
+}
+
+/// Split argv into positional arguments and flags, accepting only the
+/// command's flags and the global ones.
+CliArgs parse_args(int argc, char** argv, const Command& command) {
+  std::vector<std::string> accepted = command_flags(command);
+  for (const auto& global : kGlobalFlags) accepted.emplace_back(global.first);
+  CliArgs args;
+  for (int i = 2; i < argc; ++i) {
+    const std::string token = argv[i];
+    if (!starts_with(token, "--") && token != "-o") {
+      args.positional.push_back(token);
+      continue;
+    }
+    const std::string name = token.substr(token == "-o" ? 1 : 2);
+    const auto flag = std::ranges::find_if(accepted, [&](std::string_view f) {
+      return f.substr(0, f.find(' ')) == name;
+    });
+    if (flag == accepted.end()) {
+      std::vector<std::string_view> names;
+      for (std::string_view f : accepted) {
+        names.push_back(f.substr(0, f.find(' ')));
+      }
+      const std::string_view near = closest_match(name, names);
+      throw UsageError{
+          "unknown flag " + token + " for " + std::string{command.name} +
+          (near.empty() ? "" : " (did you mean " + dashed(near) + "?)")};
+    }
+    if (flag->size() == name.size()) {
+      args.flags[name] = "1";
+    } else if (i + 1 < argc) {
+      args.flags[name] = argv[++i];
+    } else {
+      throw UsageError{"flag " + token + " needs a value"};
+    }
+  }
+  return args;
 }
 
 /// Global observability flags: --trace-out, --trace-folded, --metrics-out,
@@ -761,19 +640,19 @@ struct ObsOptions {
   bool active() const { return traced() || !metrics_out.empty(); }
 };
 
-ObsOptions configure_obs(const Args& args) {
+ObsOptions configure_obs(const CliArgs& args) {
   if (args.has("log-level")) {
-    const auto level = parse_log_level(args.get("log-level", ""));
+    const auto level = parse_log_level(args.get("log-level"));
     if (!level) {
-      throw UsageError{"unknown log level '" + args.get("log-level", "") +
+      throw UsageError{"unknown log level '" + args.get("log-level") +
                        "'"};
     }
     set_log_level(*level);
   }
   ObsOptions options;
-  options.trace_out = args.get("trace-out", "");
-  options.trace_folded = args.get("trace-folded", "");
-  options.metrics_out = args.get("metrics-out", "");
+  options.trace_out = args.get("trace-out");
+  options.trace_folded = args.get("trace-folded");
+  options.metrics_out = args.get("metrics-out");
   if (options.traced()) obs::set_tracing(true);
   if (options.active()) obs::set_metrics_enabled(true);
   return options;
@@ -867,57 +746,36 @@ int main(int argc, char** argv) {
     print_usage(std::cerr);
     return 2;
   }
-  const std::string command = argv[1];
+  const std::string_view name = argv[1];
   try {
-    const Args args = parse_args(argc, argv, 2);
+    const auto command = std::ranges::find(kCommands, name, &Command::name);
+    if (command == std::end(kCommands)) {
+      throw UsageError{"unknown command '" + std::string{name} + "'"};
+    }
+    const CliArgs args = parse_args(argc, argv, *command);
+    for (const api::FieldInfo& field : api::request_fields(command->name)) {
+      if (field.wire == "device" && !args.has("device")) {
+        throw UsageError{std::string{name} + " needs --device"};
+      }
+    }
     const ObsOptions obs_options = configure_obs(args);
     Engine::Options engine_options;
     engine_options.plan_cache = !args.has("no-plan-cache");
     engine_options.bitstream_cache = !args.has("no-bitstream-cache");
     engine_options.fault_rate =
-        double_flag(args, "fault-rate", engine_options.fault_rate);
+        number_flag(args, "fault-rate", engine_options.fault_rate);
     engine_options.stall_rate =
-        double_flag(args, "stall-rate", engine_options.stall_rate);
+        number_flag(args, "stall-rate", engine_options.stall_rate);
     engine_options.fault_seed =
-        u64_flag(args, "fault-seed", engine_options.fault_seed);
-    engine_options.max_retries = narrow<u32>(
-        u64_flag(args, "max-retries", engine_options.max_retries));
+        number_flag(args, "fault-seed", engine_options.fault_seed);
+    engine_options.max_retries =
+        number_flag(args, "max-retries", engine_options.max_retries);
     engine_options.collect_stats = args.has("stats");
-    engine_options.cache_dir = args.get("cache-dir", "");
+    engine_options.cache_dir = args.get("cache-dir");
     const Engine engine{engine_options};
-    int rc = 0;
-    if (command == "devices") {
-      rc = cmd_devices(engine);
-    } else if (command == "synth") {
-      rc = cmd_synth(engine, args);
-    } else if (command == "plan") {
-      rc = cmd_plan(engine, args);
-    } else if (command == "bitstream") {
-      rc = cmd_bitstream(engine, args);
-    } else if (command == "explore") {
-      rc = cmd_explore(engine, args);
-    } else if (command == "netlist") {
-      rc = cmd_netlist(args);
-    } else if (command == "rank") {
-      rc = cmd_rank(engine, args);
-    } else if (command == "faults") {
-      rc = cmd_faults(engine, args);
-    } else if (command == "optimize") {
-      rc = cmd_optimize(engine, args);
-    } else if (command == "schedule") {
-      rc = cmd_schedule(engine, args);
-    } else if (command == "batch") {
-      rc = cmd_batch(engine, args);
-    } else if (command == "serve") {
-      rc = cmd_serve(engine, args);
-    } else if (command == "client") {
-      rc = cmd_client(args);
-    } else {
-      throw UsageError{"unknown command '" + command + "'"};
-    }
+    const int rc = command->run(engine, args);
     if (rc == 0) engine.save_caches();
-    const bool jsonl = command == "batch" || command == "serve" ||
-                       command == "client";
+    const bool jsonl = name == "batch" || name == "serve" || name == "client";
     const int obs_rc =
         finalize_obs(obs_options, jsonl ? std::cerr : std::cout);
     return rc != 0 ? rc : obs_rc;
@@ -925,9 +783,6 @@ int main(int argc, char** argv) {
     std::cerr << "error: " << error.what() << "\n\n";
     print_usage(std::cerr);
     return 2;
-  } catch (const Error& error) {
-    std::cerr << "error: " << error.what() << '\n';
-    return 1;
   } catch (const std::exception& error) {
     std::cerr << "error: " << error.what() << '\n';
     return 1;
