@@ -22,7 +22,7 @@
 #include "sched/scheduler.hpp"
 #include "netlist/serialize.hpp"
 #include "opt/optimizer.hpp"
-#include "par/par.hpp"
+#include "par/par_cache.hpp"
 #include "reconfig/faults.hpp"
 #include "synth/synthesizer.hpp"
 #include "util/arena.hpp"
@@ -42,71 +42,88 @@ std::string slurp(const std::string& path, const char* what) {
   return buffer.str();
 }
 
-/// Model input plus, when we synthesized it ourselves, the mapped netlist
-/// (used by plan's PAR cross-check).
+/// Model input plus, for the PAR cross-check, the key of the mapped
+/// netlist (none for a report, or for a built-in nobody cross-checks) and
+/// the netlist itself when it was synthesized on the way.
 struct PlanInput {
   PrmRequirements req;
+  std::optional<NetlistKey> netlist;
   std::optional<SynthesisResult> synth;
 };
 
-/// Process-wide memo of built-in PRM synthesis requirements. Synthesis of
-/// a named generator is a pure function of (name, family), yet every
-/// plan/bitstream/explore request used to re-run it — tens of thousands of
-/// heap allocations per request even when the plan cache already had the
-/// answer. The warm lookup is a shared-lock linear scan over a handful of
-/// entries comparing string content; it allocates nothing, which the
-/// zero-alloc request test depends on.
-PrmRequirements builtin_requirements(const std::string& name, Family family) {
+/// A built-in PRM as the engine resolves it: its model input and the key
+/// of its mapped netlist (the PAR cross-check memo's netlist key).
+struct BuiltinPrm {
+  PrmRequirements req;
+  NetlistKey netlist;
+};
+
+/// Process-wide memo of built-in PRMs. Synthesis of a named generator is
+/// a pure function of (name, family), yet every plan/bitstream/explore
+/// request used to re-run it - tens of thousands of heap allocations per
+/// request even when the plan cache already had the answer. The warm
+/// lookup is a shared-lock linear scan over a handful of entries
+/// comparing string content; it allocates nothing, which the zero-alloc
+/// request test depends on. On a miss, `synth` (when given) receives the
+/// synthesis result, so a caller that needs the netlist synthesizes once.
+BuiltinPrm builtin_prm(const std::string& name, Family family,
+                       std::optional<SynthesisResult>* synth = nullptr) {
   struct Entry {
     Family family;
     std::string name;
-    PrmRequirements req;
+    BuiltinPrm prm;
   };
   static std::shared_mutex mu;
   static std::vector<Entry> entries;
   {
     const std::shared_lock lock{mu};
     for (const Entry& entry : entries) {
-      if (entry.family == family && entry.name == name) return entry.req;
+      if (entry.family == family && entry.name == name) return entry.prm;
     }
   }
   // Miss: synthesize outside any lock (throws NotFoundError for unknown
   // names before anything is cached), then publish. Duplicated concurrent
   // misses insert duplicate-but-identical entries; the scan still returns
-  // the right requirements.
-  const SynthesisResult result =
+  // the right entry.
+  SynthesisResult result =
       synthesize(make_builtin_prm(name), SynthOptions{family});
-  const PrmRequirements req = PrmRequirements::from_report(result.report);
-  const std::unique_lock lock{mu};
-  entries.push_back(Entry{family, name, req});
-  return req;
+  const BuiltinPrm prm{PrmRequirements::from_report(result.report),
+                       netlist_key(result.netlist)};
+  {
+    const std::unique_lock lock{mu};
+    entries.push_back(Entry{family, name, prm});
+  }
+  if (synth != nullptr) *synth = std::move(result);
+  return prm;
 }
 
-/// `need_synth`: the caller wants the mapped netlist (plan --cross-check
-/// runs PAR on it); otherwise builtin sources resolve through the
-/// requirements memo and skip synthesis entirely on the warm path.
+/// `cross_check`: the caller runs PAR on the input, so it needs the
+/// netlist key. Built-in sources resolve through the memo either way; on
+/// a warm hit nothing is synthesized, and PAR synthesizes the netlist
+/// only if its own memo misses.
 PlanInput load_plan_input(const PrmSource& source, Family family,
-                          bool need_synth = false) {
+                          bool cross_check = false) {
   source.validate();
   if (!source.netlist_path.empty()) {
     SynthesisResult result =
         synthesize(netlist_from_text(slurp(source.netlist_path, "netlist")),
                    SynthOptions{family});
-    PrmRequirements req = PrmRequirements::from_report(result.report);
-    return PlanInput{req, std::move(result)};
+    PlanInput input{PrmRequirements::from_report(result.report),
+                    netlist_key(result.netlist), std::nullopt};
+    input.synth = std::move(result);
+    return input;
   }
   if (!source.report_path.empty()) {
     return PlanInput{PrmRequirements::from_report(
                          parse_report(slurp(source.report_path, "report"))),
-                     std::nullopt};
+                     std::nullopt, std::nullopt};
   }
-  if (!need_synth) {
-    return PlanInput{builtin_requirements(source.prm, family), std::nullopt};
-  }
-  SynthesisResult result =
-      synthesize(make_builtin_prm(source.prm), SynthOptions{family});
-  PrmRequirements req = PrmRequirements::from_report(result.report);
-  return PlanInput{req, std::move(result)};
+  PlanInput input;
+  const BuiltinPrm prm =
+      builtin_prm(source.prm, family, cross_check ? &input.synth : nullptr);
+  input.req = prm.req;
+  if (cross_check) input.netlist = prm.netlist;
+  return input;
 }
 
 /// Generate the bitstream for `plan` and return its word count. Served
@@ -122,13 +139,13 @@ u64 generated_word_count(const PrrPlan& plan, const Device& device) {
 }
 
 /// Resolve each named built-in PRM for `family` into a PrmInfo table
-/// (through the requirements memo: one synthesis per distinct name ever).
+/// (through the built-in PRM memo: one synthesis per distinct name ever).
 std::vector<PrmInfo> synthesize_prms(const std::vector<std::string>& names,
                                      Family family) {
   std::vector<PrmInfo> prms;
   prms.reserve(names.size());
   for (const std::string& name : names) {
-    prms.push_back(PrmInfo{name, builtin_requirements(name, family), 0});
+    prms.push_back(PrmInfo{name, builtin_prm(name, family).req, 0});
   }
   return prms;
 }
@@ -161,6 +178,7 @@ void Engine::load_caches() const {
   load("plan cache", plan_cache_load, (dir / "plan_cache.snap").string());
   load("bitstream cache", bitstream_cache_load,
        (dir / "bitstream_cache.snap").string());
+  load("PAR cache", par_cache_load, (dir / "par_cache.snap").string());
 }
 
 void Engine::save_caches() const {
@@ -174,6 +192,7 @@ void Engine::save_caches() const {
   }
   plan_cache_save((dir / "plan_cache.snap").string());
   bitstream_cache_save((dir / "bitstream_cache.snap").string());
+  par_cache_save((dir / "par_cache.snap").string());
 }
 
 const Device& Engine::resolve_device(const std::string& name) const {
@@ -205,7 +224,7 @@ PlanResponse Engine::plan(const PlanRequest& request) const {
   const obs::RequestScope scope{options_.collect_stats};
   const Device& device = resolve_device(request.device);
   PlanInput input = load_plan_input(request.source, device.fabric.family(),
-                                    /*need_synth=*/request.cross_check);
+                                    request.cross_check);
 
   check_deadline("plan.input");
   SearchOptions options;
@@ -220,19 +239,19 @@ PlanResponse Engine::plan(const PlanRequest& request) const {
 
   if (request.cross_check) {
     // Full-flow cross-checks: place & route into the chosen PRR (when the
-    // netlist came from our own synthesis) and a generated bitstream whose
-    // byte size must match the model prediction.
-    if (input.synth) {
-      const ParResult par = place_and_route(std::move(input.synth->netlist),
-                                            *plan, device.fabric, ParOptions{});
-      ParCrossCheck check;
-      check.routed = par.routed;
-      check.failure_reason = par.failure_reason;
-      check.placed_cells = par.placement.placed_cells;
-      check.hpwl_initial = par.placement.hpwl_initial;
-      check.hpwl_final = par.placement.hpwl_final;
-      check.critical_path_ns = par.placement.critical_path_ns;
-      response.par = check;
+    // PRM has a netlist; through the PAR memo, so a repeated check costs
+    // a lookup) and a generated bitstream whose byte size must match the
+    // model prediction.
+    if (input.netlist) {
+      response.par = par_cross_check(
+          *input.netlist,
+          [&]() -> Netlist {
+            if (input.synth) return std::move(input.synth->netlist);
+            return synthesize(make_builtin_prm(request.source.prm),
+                              SynthOptions{device.fabric.family()})
+                .netlist;
+          },
+          *plan, device.fabric);
     }
     response.generated_bytes = generated_word_count(*plan, device) *
                                device.fabric.traits().bytes_word;

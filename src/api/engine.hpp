@@ -31,8 +31,9 @@ std::vector<sched::Task> schedule_arrivals(const ScheduleRequest& request);
 class Engine {
  public:
   struct Options {
-    /// Enable the process-wide PRR plan cache (results are identical
-    /// either way; off is an escape hatch for benchmarking).
+    /// Enable the process-wide PRR plan cache and the PAR cross-check
+    /// memo (par/par_cache.hpp) (results are identical either way; off is
+    /// an escape hatch for benchmarking).
     bool plan_cache = true;
     /// Enable the process-wide generated-bitstream cache (byte-identical
     /// either way; off is an escape hatch for benchmarking).
@@ -52,8 +53,8 @@ class Engine {
     /// Off by default: responses (and their serialization) are then
     /// byte-identical to builds without the feature.
     bool collect_stats = false;
-    /// Directory for persistent warm-start snapshots of the plan and
-    /// bitstream caches (empty = feature off). Construction loads any
+    /// Directory for persistent warm-start snapshots of the plan,
+    /// bitstream and PAR caches (empty = feature off). Construction loads any
     /// snapshots found there; missing or corrupt snapshots cold-start
     /// cleanly (results are identical either way - the snapshots only
     /// pre-warm memoization). save_caches() writes them back.
@@ -111,9 +112,9 @@ class Engine {
   /// The catalog, summarized row-per-device.
   DevicesResponse list_devices() const;
 
-  /// Write the plan + bitstream cache snapshots into options().cache_dir
-  /// (created if absent). No-op when cache_dir is empty. Throws IoError
-  /// when the directory or files cannot be written.
+  /// Write the plan, bitstream and PAR cache snapshots into
+  /// options().cache_dir (created if absent). No-op when cache_dir is
+  /// empty. Throws IoError when the directory or files cannot be written.
   void save_caches() const;
 
  private:

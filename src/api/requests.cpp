@@ -317,7 +317,13 @@ void read_value(T& v, const Json& j, const Bounds& b) {
     }
     v = it->second;
   } else if constexpr (std::is_same_v<T, Family>) {
-    v = parse_family(j.as_string());
+    const std::string& name = j.as_string();
+    try {
+      v = parse_family(name);
+    } catch (const ContractError&) {
+      // The parser's contract is the request's fault here: a usage error.
+      throw ParseError{"unknown family '" + name + "'"};
+    }
   } else {
     v = j.as_string();
   }
@@ -422,6 +428,8 @@ std::vector<FieldInfo> field_infos() {
 }
 
 }  // namespace
+
+void check_rate(double rate) { check_bounds(rate, kRate, kRate.max); }
 
 template <typename Request>
 Request request_from_cli(const CliArgs& args) {

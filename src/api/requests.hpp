@@ -19,6 +19,7 @@
 #include "dse/explorer.hpp"
 #include "netlist/netlist.hpp"
 #include "obs/request_stats.hpp"
+#include "par/par_cache.hpp"
 #include "synth/report.hpp"
 #include "util/json.hpp"
 
@@ -68,15 +69,9 @@ struct PlanRequest {
   bool cross_check = true;
 };
 
-/// PAR cross-check summary (only when the netlist was synthesized here).
-struct ParCrossCheck {
-  bool routed = false;
-  std::string failure_reason;
-  u64 placed_cells = 0;
-  u64 hpwl_initial = 0;
-  u64 hpwl_final = 0;
-  double critical_path_ns = 0;
-};
+/// PAR cross-check summary (only when the PRM has a netlist: a built-in
+/// or a .net input, never a report).
+using prcost::ParCrossCheck;
 
 /// L-shaped alternative summary (only when PlanRequest::shaped).
 struct ShapedAlternative {
@@ -428,5 +423,10 @@ struct CliArgs {
 /// are left to the caller.
 template <typename Request>
 Request request_from_cli(const CliArgs& args);
+
+/// Throws ParseError ("-1 is not in 0..1") unless `rate` is in [0, 1]: the
+/// bound of every request's rate field, for callers that take a rate from
+/// elsewhere (the CLI's engine-wide --fault-rate and --stall-rate).
+void check_rate(double rate);
 
 }  // namespace prcost::api

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <iterator>
 #include <unordered_map>
 #include <utility>
 
@@ -156,14 +155,7 @@ PrrPlan get_plan(SnapshotReader& in) {
 
 std::size_t plan_cache_save(const std::string& path) {
   SnapshotWriter out;
-  const auto identities = interned_fabric_identities();
-  out.put_u64(identities.size());
-  for (const FabricIdentityRecord& record : identities) {
-    out.put_u64(record.id);
-    out.put_u32(static_cast<u32>(record.family));
-    out.put_u32(record.rows);
-    out.put_string(record.pattern);
-  }
+  save_fabric_identities(out);
   const auto resident = cache().resident();
   out.put_u64(resident.size());
   for (const auto& [key, entry] : resident) {
@@ -191,20 +183,8 @@ std::size_t plan_cache_save(const std::string& path) {
 
 std::size_t plan_cache_load(const std::string& path) {
   SnapshotReader in{path, kPlanSnapshotVersion};
-  // Re-intern the identity table; old id -> current process id.
-  std::unordered_map<u64, u64> translate;
-  const u64 identity_count = in.get_u64();
-  for (u64 i = 0; i < identity_count; ++i) {
-    const u64 old_id = in.get_u64();
-    const u32 family = in.get_u32();
-    const u32 rows = in.get_u32();
-    const std::string pattern = in.get_string();
-    if (family >= std::size(kAllFamilies) || rows == 0 || pattern.empty()) {
-      throw ParseError{"snapshot '" + path + "': invalid fabric identity"};
-    }
-    translate[old_id] =
-        intern_fabric_identity(static_cast<Family>(family), pattern, rows);
-  }
+  const std::unordered_map<u64, u64> translate =
+      load_fabric_identities(in, path);
   return cache().load([&](auto& loaded) {
     const u64 entry_count = in.get_u64();
     // Bound the reserve: a crafted count larger than the payload could

@@ -31,7 +31,8 @@
 
 namespace prcost {
 
-/// Global switch, default on. Checked by find_prr and Floorplanner::place.
+/// Global switch, default on. Checked by find_prr, Floorplanner::place and
+/// the PAR cross-check memo (par/par_cache.hpp).
 bool plan_cache_enabled() noexcept;
 void set_plan_cache_enabled(bool on) noexcept;
 

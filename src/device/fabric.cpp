@@ -1,6 +1,6 @@
 #include "device/fabric.hpp"
 
-#include <algorithm>
+#include <iterator>
 #include <map>
 #include <mutex>
 #include <shared_mutex>
@@ -8,6 +8,7 @@
 #include <unordered_map>
 
 #include "util/error.hpp"
+#include "util/snapshot.hpp"
 
 namespace prcost {
 namespace {
@@ -23,6 +24,18 @@ struct InternTable {
 InternTable& intern_table() {
   static InternTable table;
   return table;
+}
+
+/// The process-wide identity of a (family, pattern, rows) triple: the value
+/// Fabric::identity() reports for a fabric built from it. Idempotent.
+u64 intern_fabric_identity(Family family, std::string_view pattern,
+                           u32 rows) {
+  InternTable& table = intern_table();
+  const std::scoped_lock lock{table.mu};
+  const auto [it, inserted] = table.ids.try_emplace(
+      std::tuple{static_cast<int>(family), rows, std::string{pattern}},
+      table.ids.size() + 1);
+  return it->second;
 }
 
 /// Packs a (demand, width) query into one map key. Component counts are
@@ -230,34 +243,34 @@ u64 Fabric::window_config_frames(const ColumnWindow& window) const {
          prefix_[window.first_col].frames;
 }
 
-u64 intern_fabric_identity(Family family, std::string_view pattern,
-                           u32 rows) {
+void save_fabric_identities(SnapshotWriter& out) {
   InternTable& table = intern_table();
   const std::scoped_lock lock{table.mu};
-  const auto [it, inserted] = table.ids.try_emplace(
-      std::tuple{static_cast<int>(family), rows, std::string{pattern}},
-      table.ids.size() + 1);
-  return it->second;
+  out.put_u64(table.ids.size());
+  for (const auto& [key, id] : table.ids) {
+    out.put_u64(id);
+    out.put_u32(static_cast<u32>(std::get<0>(key)));
+    out.put_u32(std::get<1>(key));
+    out.put_string(std::get<2>(key));
+  }
 }
 
-std::vector<FabricIdentityRecord> interned_fabric_identities() {
-  InternTable& table = intern_table();
-  std::vector<FabricIdentityRecord> records;
-  const std::scoped_lock lock{table.mu};
-  records.reserve(table.ids.size());
-  for (const auto& [key, id] : table.ids) {
-    FabricIdentityRecord record;
-    record.id = id;
-    record.family = static_cast<Family>(std::get<0>(key));
-    record.rows = std::get<1>(key);
-    record.pattern = std::get<2>(key);
-    records.push_back(std::move(record));
+std::unordered_map<u64, u64> load_fabric_identities(SnapshotReader& in,
+                                                    const std::string& path) {
+  std::unordered_map<u64, u64> translate;
+  const u64 count = in.get_u64();
+  for (u64 i = 0; i < count; ++i) {
+    const u64 old_id = in.get_u64();
+    const u32 family = in.get_u32();
+    const u32 rows = in.get_u32();
+    const std::string pattern = in.get_string();
+    if (family >= std::size(kAllFamilies) || rows == 0 || pattern.empty()) {
+      throw ParseError{"snapshot '" + path + "': invalid fabric identity"};
+    }
+    translate[old_id] =
+        intern_fabric_identity(static_cast<Family>(family), pattern, rows);
   }
-  std::sort(records.begin(), records.end(),
-            [](const FabricIdentityRecord& a, const FabricIdentityRecord& b) {
-              return a.id < b.id;
-            });
-  return records;
+  return translate;
 }
 
 }  // namespace prcost

@@ -20,12 +20,16 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "device/column.hpp"
 #include "device/family_traits.hpp"
 
 namespace prcost {
+
+class SnapshotReader;
+class SnapshotWriter;
 
 /// Count of columns a window needs per PRR-capable type; the "organization"
 /// half of the paper's PRR size/organization (W_CLB, W_DSP, W_BRAM).
@@ -165,22 +169,15 @@ class Fabric {
   std::shared_ptr<WindowIndex> index_;
 };
 
-/// One interned fabric identity: the (family, pattern, rows) triple behind
-/// a Fabric::identity() value. Snapshots of identity-keyed caches persist
-/// these records so a restarted process can re-intern and translate ids.
-struct FabricIdentityRecord {
-  u64 id = 0;
-  Family family = Family::kVirtex5;
-  u32 rows = 0;
-  std::string pattern;
-};
+/// Append every interned identity - the (family, pattern, rows) triple
+/// behind each Fabric::identity() value - to a cache snapshot, so that a
+/// restarted process can translate identity-keyed entries.
+void save_fabric_identities(SnapshotWriter& out);
 
-/// Intern a (family, pattern, rows) triple and return its process-wide
-/// identity (the same value Fabric::identity() reports for a fabric built
-/// from the triple). Idempotent; used by cache-snapshot restore.
-u64 intern_fabric_identity(Family family, std::string_view pattern, u32 rows);
-
-/// Every identity interned so far, in id order.
-std::vector<FabricIdentityRecord> interned_fabric_identities();
+/// Read a table written by save_fabric_identities and intern each triple
+/// in this process. Returns snapshot id -> this process's id. Throws
+/// ParseError naming `path` on an invalid record.
+std::unordered_map<u64, u64> load_fabric_identities(SnapshotReader& in,
+                                                    const std::string& path);
 
 }  // namespace prcost

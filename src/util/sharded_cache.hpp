@@ -1,5 +1,5 @@
-// Process-wide memo table behind cost/plan_cache and
-// bitstream/bitstream_cache: sharded (a mutex per shard, so parallel
+// Process-wide memo table behind cost/plan_cache, bitstream/bitstream_cache
+// and par/par_cache: sharded (a mutex per shard, so parallel
 // sweeps do not serialize on one lock), bounded (past the per-shard cap an
 // arbitrary resident entry is evicted - an overflow valve, not an LRU),
 // first-writer-wins, with hit/miss/eviction counters and entry gauges.
@@ -21,20 +21,10 @@
 #include <utility>
 #include <vector>
 
+#include "util/hash.hpp"
 #include "util/ints.hpp"
 
 namespace prcost {
-
-/// FNV-1a over key fields, mixed one at a time (never memcmp a key: the
-/// padding is indeterminate).
-struct Fnv1a {
-  u64 h = 14695981039346656037ull;
-  Fnv1a& mix(u64 v) {
-    h ^= v;
-    h *= 1099511628211ull;
-    return *this;
-  }
-};
 
 /// Counters of one cache (process lifetime, not reset by clear()).
 struct ShardedCacheStats {

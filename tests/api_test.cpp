@@ -517,6 +517,19 @@ TEST(RequestJson, FaultRateIsBoundedOnEveryOp) {
   }
 }
 
+TEST(RequestJson, UnknownFamilyIsAUsageErrorNamingTheField) {
+  // parse_family throws ContractError; on the wire that is the request's
+  // fault, so it answers usage (it used to answer contract).
+  const Engine engine;
+  const Json envelope =
+      api::dispatch_line(engine, R"({"op":"synth","prm":"fir","family":"zz"})");
+  const Json* error = envelope.find("error");
+  ASSERT_NE(error, nullptr);
+  EXPECT_EQ(error->find("code")->as_string(), "usage");
+  EXPECT_EQ(error->find("message")->as_string(),
+            "family: unknown family 'zz'");
+}
+
 /// The README field table of one op, as the schema renders it.
 std::string readme_field_table(std::string_view op) {
   TextTable table{{"field", "CLI", "type", "default", "bounds", "doc"}};

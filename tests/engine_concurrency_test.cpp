@@ -10,12 +10,14 @@
 // the same requests (caches may reorder who computes, never what).
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "api/batch.hpp"
 #include "api/engine.hpp"
+#include "par/par_cache.hpp"
 #include "util/json.hpp"
 
 namespace prcost {
@@ -103,6 +105,35 @@ TEST(EngineConcurrency, ColdCachesUnderConcurrencyStayConsistent) {
     EXPECT_EQ(got[static_cast<std::size_t>(t)], got[0])
         << "thread " << t << " disagrees with thread 0";
   }
+}
+
+TEST(EngineConcurrency, ParallelBatchOfRepeatedCrossChecksAgrees) {
+  // Three cross-checked plans, twice, in one window over 4 workers: the
+  // repeats race their first runs into the PAR memo (first writer wins),
+  // and every answer must equal a single-worker run's.
+  const std::string lines =
+      R"({"op":"plan","device":"xc5vlx110t","prm":"fir"})"
+      "\n"
+      R"({"op":"plan","device":"xc6vlx75t","prm":"sdram"})"
+      "\n"
+      R"({"op":"plan","device":"xc7k325t","prm":"uart"})"
+      "\n";
+  const auto run = [&](std::size_t workers) {
+    std::istringstream in{lines + lines};
+    std::ostringstream out;
+    api::BatchOptions options;
+    options.workers = workers;
+    api::run_batch(api::Engine{}, in, out, options);
+    return out.str();
+  };
+  par_cache_clear();
+  const std::string serial = run(1);
+  EXPECT_EQ(par_cache_stats().entries, 3u);
+  par_cache_clear();
+  const std::string parallel = run(4);
+  EXPECT_EQ(parallel, serial);
+  EXPECT_EQ(par_cache_stats().entries, 3u);
+  EXPECT_NE(serial.find(R"("par":{"routed":true)"), std::string::npos);
 }
 
 }  // namespace

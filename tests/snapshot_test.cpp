@@ -1,13 +1,14 @@
 // Snapshot container + persistent-cache round trips.
 //
 // Three layers under test: the framed container itself (magic / version /
-// endianness / truncation / checksum rejection), the plan- and
-// bitstream-cache save/load pairs (restored entries must be byte-identical
+// endianness / truncation / checksum rejection), the plan-, bitstream- and
+// PAR-cache save/load pairs (restored entries must be byte-identical
 // and corrupt files must leave the caches unchanged), and the Engine
 // warm-start contract (a snapshot-loaded Engine answers byte-identically
 // to a cold one, and a corrupt snapshot degrades to a clean cold start).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -15,10 +16,14 @@
 #include <vector>
 
 #include "api/engine.hpp"
+#include "api/requests.hpp"
 #include "bitstream/bitstream_cache.hpp"
 #include "bitstream/crc.hpp"
 #include "cost/plan_cache.hpp"
 #include "device/device_db.hpp"
+#include "obs/obs.hpp"
+#include "par/par_cache.hpp"
+#include "synth/synthesizer.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/snapshot.hpp"
@@ -39,13 +44,17 @@ class SnapshotTest : public ::testing::Test {
            (std::string{"prcost_snapshot_test_"} + info->name());
     fs::remove_all(dir_);
     fs::create_directories(dir_);
-    plan_cache_clear();
-    bitstream_cache_clear();
+    clear_caches();
   }
   void TearDown() override {
     fs::remove_all(dir_);
+    clear_caches();
+  }
+
+  static void clear_caches() {
     plan_cache_clear();
     bitstream_cache_clear();
+    par_cache_clear();
   }
 
   std::string path(const char* name) const { return (dir_ / name).string(); }
@@ -331,6 +340,90 @@ TEST_F(SnapshotTest, EngineColdStartsCleanlyOnCorruptSnapshots) {
   const api::BitstreamResponse from_plain = plain.bitstream(request);
   ASSERT_TRUE(from_corrupt.words != nullptr);
   EXPECT_EQ(*from_corrupt.words, *from_plain.words);
+}
+
+TEST_F(SnapshotTest, ParCacheRoundTripsEveryEntry) {
+  const Fabric& fabric = DeviceDb::instance().get("xc5vlx110t").fabric;
+  const SynthesisResult synth = synthesize(api::make_builtin_prm("uart"),
+                                           SynthOptions{fabric.family()});
+  const auto plan = find_prr_cached(
+      PrmRequirements::from_report(synth.report), fabric, {});
+  ASSERT_TRUE(plan.has_value());
+  const NetlistKey key = netlist_key(synth.netlist);
+  const auto mapped = [&] { return synth.netlist; };
+  std::vector<ParOptions> options(3);
+  options[1].seed = 7;
+  options[2].place.skip_anneal = true;
+  std::vector<ParCrossCheck> before;
+  for (const ParOptions& o : options) {
+    before.push_back(par_cross_check(key, mapped, *plan, fabric, o));
+  }
+
+  EXPECT_EQ(par_cache_save(path("par.snap")), options.size());
+  par_cache_clear();
+  ASSERT_EQ(par_cache_stats().entries, 0u);
+  EXPECT_EQ(par_cache_load(path("par.snap")), options.size());
+  EXPECT_EQ(par_cache_stats().entries, options.size());
+
+  // Every restored entry is a hit equal to the original, field for field.
+  for (std::size_t i = 0; i < options.size(); ++i) {
+    const u64 hits = par_cache_stats().hits;
+    const ParCrossCheck after = par_cross_check(
+        key,
+        [&] {
+          ADD_FAILURE() << "restored entry " << i << " missed";
+          return synth.netlist;
+        },
+        *plan, fabric, options[i]);
+    EXPECT_EQ(par_cache_stats().hits, hits + 1);
+    EXPECT_EQ(after.routed, before[i].routed);
+    EXPECT_EQ(after.failure_reason, before[i].failure_reason);
+    EXPECT_EQ(after.placed_cells, before[i].placed_cells);
+    EXPECT_EQ(after.hpwl_initial, before[i].hpwl_initial);
+    EXPECT_EQ(after.hpwl_final, before[i].hpwl_final);
+    EXPECT_EQ(std::bit_cast<u64>(after.critical_path_ns),
+              std::bit_cast<u64>(before[i].critical_path_ns));
+  }
+}
+
+TEST_F(SnapshotTest, EngineColdStartsOnEveryCorruptParSnapshot) {
+  api::Engine::Options options;
+  options.cache_dir = (dir_ / "engine_cache").string();
+  api::PlanRequest request;  // cross-checked: runs PAR
+  request.device = "xc5vlx110t";
+  request.source.prm = "fir";
+  const fs::path snap = fs::path{options.cache_dir} / "par_cache.snap";
+
+  const std::string cold = [&] {
+    const api::Engine engine{options};
+    const std::string out = api::to_json(engine.plan(request)).dump();
+    engine.save_caches();
+    return out;
+  }();
+  const auto pristine = read_file(snap.string());
+  ASSERT_GT(pristine.size(), 24u);
+
+  auto truncated = pristine;
+  truncated.resize(pristine.size() - 7);
+  auto flipped = pristine;
+  flipped[pristine.size() / 2] ^= 0x04u;
+  auto wrong_version = pristine;
+  wrong_version[4] ^= 0x02u;  // the header's format version field
+
+  obs::set_metrics_enabled(true);
+  for (const auto& [what, bytes] :
+       {std::pair{"truncated", truncated}, std::pair{"flipped", flipped},
+        std::pair{"wrong version", wrong_version}}) {
+    write_file(snap.string(), bytes);
+    clear_caches();
+    obs::Counter& failures = obs::registry().counter("snapshot.load_failures");
+    const u64 failed_before = failures.value();
+    const api::Engine engine{options};
+    EXPECT_EQ(failures.value(), failed_before + 1) << what;
+    EXPECT_EQ(par_cache_stats().entries, 0u) << what;
+    EXPECT_EQ(api::to_json(engine.plan(request)).dump(), cold) << what;
+  }
+  obs::set_metrics_enabled(false);
 }
 
 }  // namespace

@@ -56,6 +56,23 @@ if(NOT err MATCHES "--tasks")
   message(FATAL_ERROR "out-of-bounds --tasks: flag not named: ${err}")
 endif()
 
+# Out-of-range global rates: usage errors naming the flag, with the field
+# tables' bound message (a batch used to echo "fault_rate":-1).
+execute_process(COMMAND ${CMAKE_COMMAND} -E echo
+                  [[{"op":"schedule","device":"xc5vlx110t","prms":["fir"]}]]
+                COMMAND ${CLI} batch --fault-rate -1
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+expect_rc(${rc} 2 "batch --fault-rate -1")
+if(NOT err MATCHES "--fault-rate: -1 is not in 0..1" OR NOT out STREQUAL "")
+  message(FATAL_ERROR "batch --fault-rate -1: bad diagnostics: ${err}${out}")
+endif()
+execute_process(COMMAND ${CLI} faults fir --device xc5vlx110t --stall-rate 1.5
+                RESULT_VARIABLE rc ERROR_VARIABLE err OUTPUT_QUIET)
+expect_rc(${rc} 2 "--stall-rate 1.5")
+if(NOT err MATCHES "--stall-rate: 1.5 is not in 0..1")
+  message(FATAL_ERROR "--stall-rate 1.5: bad diagnostics: ${err}")
+endif()
+
 # Unknown device: runtime failure - message, no banner.
 execute_process(COMMAND ${CLI} plan fir --device bogus RESULT_VARIABLE rc
                 ERROR_VARIABLE err OUTPUT_QUIET)

@@ -47,7 +47,7 @@ const std::pair<std::string_view, std::string_view> kGlobalFlags[] = {
     {"trace-folded FILE", "record spans, write flamegraph folded stacks"},
     {"metrics-out FILE", "write the metrics registry as JSON ('-': stderr)"},
     {"log-level LVL", "debug|info|warn|error|off (default warn)"},
-    {"no-plan-cache", "disable PRR plan memoization"},
+    {"no-plan-cache", "disable PRR plan and PAR memoization"},
     {"no-bitstream-cache", "disable generated-bitstream memoization"},
     {"cache-dir DIR", "persist the caches as warm-start snapshots in DIR"},
 };
@@ -66,6 +66,18 @@ T number_flag(const CliArgs& args, const std::string& key, T fallback) {
   } catch (const std::exception& error) {
     throw UsageError{"--" + key + ": " + std::string{error.what()}};
   }
+}
+
+/// An engine-wide rate flag, bounded like the request fields' rates.
+double rate_flag(const CliArgs& args, const std::string& key,
+                 double fallback) {
+  const double rate = number_flag(args, key, fallback);
+  try {
+    api::check_rate(rate);
+  } catch (const ParseError& error) {
+    throw UsageError{"--" + key + ": " + error.what()};
+  }
+  return rate;
 }
 
 /// Decode a request whose PRM source follows the CLI precedence:
@@ -763,9 +775,9 @@ int main(int argc, char** argv) {
     engine_options.plan_cache = !args.has("no-plan-cache");
     engine_options.bitstream_cache = !args.has("no-bitstream-cache");
     engine_options.fault_rate =
-        number_flag(args, "fault-rate", engine_options.fault_rate);
+        rate_flag(args, "fault-rate", engine_options.fault_rate);
     engine_options.stall_rate =
-        number_flag(args, "stall-rate", engine_options.stall_rate);
+        rate_flag(args, "stall-rate", engine_options.stall_rate);
     engine_options.fault_seed =
         number_flag(args, "fault-seed", engine_options.fault_seed);
     engine_options.max_retries =

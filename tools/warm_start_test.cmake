@@ -17,6 +17,9 @@ endif()
 if(NOT EXISTS ${CACHE_DIR}/bitstream_cache.snap)
   message(FATAL_ERROR "bitstream cache snapshot was not written")
 endif()
+if(NOT EXISTS ${CACHE_DIR}/par_cache.snap)
+  message(FATAL_ERROR "PAR cache snapshot was not written")
+endif()
 
 # Warm run: loads the snapshots; output must be byte-identical.
 execute_process(COMMAND ${CLI} plan fir --device xc5vlx110t
@@ -27,6 +30,23 @@ if(NOT r2 EQUAL 0)
 endif()
 if(NOT cold STREQUAL warm)
   message(FATAL_ERROR "warm output differs from cold output")
+endif()
+
+# A warm plan answers its PAR cross-check from the snapshot: no PAR runs.
+set(METRICS ${WORK}/warm_start_metrics.json)
+execute_process(COMMAND ${CLI} plan fir --device xc5vlx110t
+                        --cache-dir ${CACHE_DIR} --metrics-out ${METRICS}
+                OUTPUT_QUIET RESULT_VARIABLE r_par)
+if(NOT r_par EQUAL 0)
+  message(FATAL_ERROR "warm --cache-dir plan with --metrics-out failed")
+endif()
+file(READ ${METRICS} metrics)
+# A counter never bumped is absent from the registry dump.
+string(JSON par_runs ERROR_VARIABLE no_runs GET ${metrics} counters par.runs)
+string(JSON par_hits GET ${metrics} counters par_cache.hits)
+if(no_runs STREQUAL "NOTFOUND" OR NOT par_hits EQUAL 1)
+  message(FATAL_ERROR "warm plan ran PAR (par.runs ${par_runs}, "
+                      "par_cache.hits ${par_hits})")
 endif()
 
 # Bitstream path, same contract.
